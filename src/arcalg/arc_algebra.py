@@ -11,8 +11,10 @@ Multiplication stacks two diagrams and contracts the shared middle
 diagram one cup or ray at a time (a movie).  Ray columns are joined
 first; cups are surgered outermost-first (surgering an inner cup before
 an outer one would thread vertical strands through a still-present cup
-and destroy planarity, and with it the sign rules).  Three rule sets are
-implemented on top of the shared state machine:
+and destroy planarity, and with it the sign rules).  The movie's topology
+is compiled once per weight triple and cup order into a list of events
+(merge, split, birth of a circle, a circle meeting a line), which a label
+pass folds for each pair of basis elements under one of three rule sets:
 
 * ``alpha=+1``   plain Frobenius label rules (merge m, split
   1 -> X(x)1 + 1(x)X); this is the associative arc algebra product;
@@ -34,12 +36,14 @@ deterministically.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
-from .diagrams import (CIRCLE, LINE, CircleDiagram, Component, CupDiagram,
-                       DOWN, Shape, UP, ValidationError, Weight,
+from .diagrams import (CIRCLE, CircleDiagram, Component, CupDiagram, DOWN,
+                       Shape, UP, ValidationError, Weight,
                        enumerate_standard, enumerate_weights, glue,
                        orientation_degree, orientations, render_circle_diagram,
                        weight_of_tableau, weight_sort_key, weight_to_m)
@@ -151,7 +155,8 @@ def zero(x: Weight, y: Weight) -> AlgebraElement:
 def idempotent(x: Weight) -> AlgebraElement:
     """Degree-0 element of Hom(x, x); x itself orients its self-glued diagram."""
     e = BasisElement(x, x, x)
-    assert degree(e) == 0
+    if degree(e) != 0:
+        raise RuntimeError(f"{x} orients its own diagram in degree {degree(e)}, not 0")
     return AlgebraElement(x, x, {e: 1})
 
 
@@ -164,193 +169,20 @@ def low_element(x: Weight, y: Weight) -> AlgebraElement | None:
     return AlgebraElement(x, y, {b: 1})
 
 
-# ---------------------------------------------------------------------------
-# orientation helpers on components
-
-
-def _circle_marks(comp: Component, high: bool) -> dict[int, str]:
-    """Marks of the low or high orientation of a circle component."""
-    for seed in (DOWN, UP):
-        marks = {comp.leftmost: seed}
-        frontier = [comp.leftmost]
-        while frontier:
-            v = frontier.pop()
-            for _, a, b in comp.arcs:
-                if v in (a, b):
-                    other = a if v == b else b
-                    want = UP if marks[v] == DOWN else DOWN
-                    if other not in marks:
-                        marks[other] = want
-                        frontier.append(other)
-        ups_left = sum(1 for (_, a, _b) in comp.arcs if marks[a] == UP)
-        half = len(comp.arcs) // 2
-        if (ups_left == half + 1) == high:
-            return marks
-    raise RuntimeError(f"circle {comp.vertices} has no {'high' if high else 'low'} orientation")
-
-
 def _is_high(comp: Component, v: Weight) -> bool:
     ups_left = sum(1 for (_, a, _b) in comp.arcs if v.mark(a) == UP)
     return ups_left == len(comp.arcs) // 2 + 1
 
 
-def _line_marks(comp: Component, w_bottom: Weight, w_top: Weight) -> dict[int, str]:
-    """The forced orientation of a line component of a glued diagram."""
-    forced = {r: w_bottom.mark(r) for r in comp.bottom_rays}
-    forced.update({r: w_top.mark(r) for r in comp.top_rays})
-    start, mark = next(iter(forced.items()))
-    marks = {start: mark}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for _, a, b in comp.arcs:
-            if v in (a, b):
-                other = a if v == b else b
-                want = UP if marks[v] == DOWN else DOWN
-                if other not in marks:
-                    marks[other] = want
-                    frontier.append(other)
-    for r, mk in forced.items():
-        if marks.get(r) != mk:
-            raise RuntimeError("line marks inconsistent with rays")
-    return marks
-
-
 # ---------------------------------------------------------------------------
-# the movie state machine
-
-# bands, bottom to top: cups of m(x), caps of m(y), cups of m(y), caps of m(z)
-_B_CUP_X, _B_CAP_MID, _B_CUP_MID, _B_CAP_Z = 0, 1, 2, 3
-
-
-class _Movie:
-    def __init__(self, x: Weight, y: Weight, z: Weight):
-        self.x, self.y, self.z = x, y, z
-        self.n = x.n
-        self.mx, self.my, self.mz = weight_to_m(x), weight_to_m(y), weight_to_m(z)
-        self.arcs: set[tuple[int, int, int]] = set()
-        for a, b in self.mx.cups:
-            self.arcs.add((_B_CUP_X, a, b))
-        for a, b in self.my.cups:
-            self.arcs.add((_B_CAP_MID, a, b))
-            self.arcs.add((_B_CUP_MID, a, b))
-        for a, b in self.mz.cups:
-            self.arcs.add((_B_CAP_Z, a, b))
-        self.verticals: set[int] = set()
-        self.stubs: set[int] = set(self.my.rays)
-
-    # -- components ---------------------------------------------------------
-
-    def components(self) -> dict[frozenset, dict]:
-        adj: dict[tuple[str, int], list] = {}
-        for lv in ("l", "u"):
-            for i in range(1, self.n + 1):
-                adj[(lv, i)] = []
-        for band, a, b in self.arcs:
-            lv = "l" if band in (_B_CUP_X, _B_CAP_MID) else "u"
-            adj[(lv, a)].append((lv, b))
-            adj[(lv, b)].append((lv, a))
-        for c in self.verticals:
-            adj[("l", c)].append(("u", c))
-            adj[("u", c)].append(("l", c))
-        ends = {("l", r) for r in self.mx.rays} | {("u", r) for r in self.mz.rays}
-        for r in self.stubs:
-            ends.add(("l", r))
-            ends.add(("u", r))
-        out: dict[frozenset, dict] = {}
-        seen: set = set()
-        for start in adj:
-            if start in seen:
-                continue
-            nodes = set()
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                if v in nodes:
-                    continue
-                nodes.add(v)
-                stack.extend(adj[v])
-            seen |= nodes
-            arcs = frozenset(arc for arc in self.arcs
-                             if (("l" if arc[0] in (_B_CUP_X, _B_CAP_MID) else "u"), arc[1]) in nodes)
-            kind = LINE if nodes & ends else CIRCLE
-            key = frozenset(nodes)
-            out[key] = {"nodes": key, "arcs": arcs, "kind": kind}
-        return out
-
-    def find(self, comps: dict, node: tuple[str, int]) -> frozenset:
-        for key in comps:
-            if node in key:
-                return key
-        raise RuntimeError(f"node {node} not found")
-
-    # -- forced marks on lines ----------------------------------------------
-
-    def mark_at(self, comps: dict, key: frozenset, node: tuple[str, int]) -> str:
-        forced: dict[tuple[str, int], str] = {}
-        for r in self.mx.rays:
-            if ("l", r) in key:
-                forced[("l", r)] = self.x.mark(r)
-        for r in self.mz.rays:
-            if ("u", r) in key:
-                forced[("u", r)] = self.z.mark(r)
-        for r in self.stubs:
-            for lv in ("l", "u"):
-                if (lv, r) in key:
-                    forced[(lv, r)] = self.y.mark(r)
-        if not forced:
-            raise RuntimeError("line without a forced end")
-        start, mark = next(iter(forced.items()))
-        marks = {start: mark}
-        frontier = [start]
-        arcs = comps[key]["arcs"]
-        while frontier:
-            v = frontier.pop()
-            lv, col = v
-            for band, a, b in arcs:
-                alv = "l" if band in (_B_CUP_X, _B_CAP_MID) else "u"
-                if alv == lv and col in (a, b):
-                    other = (alv, a if col == b else b)
-                    want = UP if marks[v] == DOWN else DOWN
-                    if other not in marks:
-                        marks[other] = want
-                        frontier.append(other)
-            if col in self.verticals:
-                other = ("u" if lv == "l" else "l", col)
-                if other not in marks:
-                    marks[other] = marks[v]
-                    frontier.append(other)
-        return marks[node]
-
-    # -- nesting test --------------------------------------------------------
-
-    @staticmethod
-    def _inside(p: dict, q: dict) -> bool:
-        band, i, j = min(p["arcs"])
-        t = 2 * i + 1  # doubled coordinates: arc (a, b) covers t iff 2a < t < 2b
-        if band in (_B_CUP_X, _B_CUP_MID):  # cup: shoot downward
-            hits = sum(1 for (b2, a, c) in q["arcs"] if b2 <= band and 2 * a < t < 2 * c)
-        else:  # cap: shoot upward
-            hits = sum(1 for (b2, a, c) in q["arcs"] if b2 >= band and 2 * a < t < 2 * c)
-        return hits % 2 == 1
-
-    def nested_pair(self, p: dict, q: dict) -> tuple[dict, dict] | None:
-        """(outer, inner) when one circle encloses the other, else None."""
-        if self._inside(p, q):
-            return (q, p)
-        if self._inside(q, p):
-            return (p, q)
-        return None
-
-
-def _min_col(key: frozenset) -> int:
-    return min(col for _, col in key)
+# cup orders
 
 
 def _cup_depth(mid: CupDiagram, cup: tuple[int, int]) -> int:
     return sum(1 for other in mid.cups if other[0] < cup[0] and cup[1] < other[1])
 
 
+@lru_cache(maxsize=1024)
 def canonical_order(mid: CupDiagram) -> tuple[tuple[int, int], ...]:
     """Outermost cups first; left to right among incomparable ones."""
     return tuple(sorted(mid.cups, key=lambda c: (_cup_depth(mid, c), c[0])))
@@ -386,238 +218,276 @@ def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...]:
     return order
 
 
-@lru_cache(maxsize=None)
-def _split_parity(x: Weight, y: Weight, z: Weight,
-                  cup_order: tuple[tuple[int, int], ...]) -> int:
-    """Parity of the sum of left ends over the splitting and birthing cups.
+# ---------------------------------------------------------------------------
+# the movie, structural pass: compiled once per (x, y, z, cup order)
+#
+# Layer 0 holds the first factor (cups of m(x), caps of m(y)), layer 1 the
+# second (cups of m(y), caps of m(z)); column c of layer h is node 2c + h.
+# No node meets more than two edges, so a component is a path (a line,
+# ending in rays) or a cycle (a circle).  Arcs flip the mark along a
+# component, the vertical strands left by the surgeries keep it.
 
-    Which cups split (rather than merge) depends on the chosen order once
-    the movie has positive genus, and the raw geometric sign
-    (-1)**(left end) follows the splitting cup around.  This structural
-    pass classifies the events without touching labels, so the sign
-    drift between two orders can be cancelled exactly.
+# arc bands, bottom to top: cups of m(x), caps of m(y), cups of m(y), caps of m(z)
+_B_CUP_X, _B_CAP_MID, _B_CUP_MID, _B_CAP_Z = 0, 1, 2, 3
+_STRAND = -1
+_MODES = {"plus": 0, "minus": 1, "nested": 2}
+# events: a circle born with X (a ray closing or a circle pinched off a
+# line), a circle meeting a line, two circles merging, a circle splitting
+_BIRTH, _KILL, _MERGE, _SPLIT = range(4)
+
+
+class _CompiledMovie(NamedTuple):
+    """Topology of one movie, shared by every basis pair and mode it serves.
+
+    Components have int ids, and a label set is a bitmask with bit ``id``
+    set for each circle carrying X.  ``factor_circles`` lists, for the
+    bottom and the top factor, (bit, leftmost point, mark there in the
+    high orientation) per circle of its diagram.  ``zero`` is set when a
+    line reconnects through a clockwise or mismatched arc, which kills
+    every product.  ``parity`` is that of the sum of left ends over the
+    splitting and pinching cups.  ``outputs`` maps each label set of the
+    final circles to the basis element it orients and the parity of the
+    leftmost points of its X circles.
     """
-    mv = _Movie(x, y, z)
-    comps = mv.components()
-    total = 0
-    for r in sorted(mv.my.rays):
-        mv.verticals.add(r)
-        mv.stubs.discard(r)
-    comps = mv.components()
+
+    zero: bool
+    factor_circles: tuple
+    events: tuple
+    parity: int
+    outputs: dict
+
+
+def _inside(p_arcs: list, q_arcs: list) -> bool:
+    """Whether circle p lies inside circle q: shoot a ray off p's first arc."""
+    band, i, _ = min(p_arcs)
+    t = 2 * i + 1  # doubled coordinates: arc (a, b) covers t iff 2a < t < 2b
+    if band in (_B_CUP_X, _B_CUP_MID):  # cup: shoot downward
+        hits = sum(1 for (b2, a, c) in q_arcs if b2 <= band and 2 * a < t < 2 * c)
+    else:  # cap: shoot upward
+        hits = sum(1 for (b2, a, c) in q_arcs if b2 >= band and 2 * a < t < 2 * c)
+    return hits % 2 == 1
+
+
+@lru_cache(maxsize=1024)
+def _compile_movie(x: Weight, y: Weight, z: Weight,
+                   cup_order: tuple[tuple[int, int], ...]) -> _CompiledMovie:
+    """Classify every step of the movie without touching labels.
+
+    Ray columns of m(y) are joined first, then its cups are surgered in
+    ``cup_order``.  Only the components a step touches are walked again;
+    the others keep their ids.
+    """
+    mx, my, mz = weight_to_m(x), weight_to_m(y), weight_to_m(z)
+    size = 2 * x.n + 2
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+
+    def link(p: int, q: int, band: int) -> None:
+        adj[p].append((q, band))
+        adj[q].append((p, band))
+
+    for band, level, cups in ((_B_CUP_X, 0, mx.cups), (_B_CAP_MID, 0, my.cups),
+                              (_B_CUP_MID, 1, my.cups), (_B_CAP_Z, 1, mz.cups)):
+        for a, b in cups:
+            link(2 * a + level, 2 * b + level, band)
+    forced = {2 * r: x.mark(r) for r in mx.rays}
+    forced.update({2 * r + 1: z.mark(r) for r in mz.rays})
+    stubs = {2 * r + h for r in my.rays for h in (0, 1)}  # open until joined
+    owner = [-1] * size
+    comps: list[tuple[dict[int, int], bool]] = []  # per id: node parities, is a line
+
+    def register(start: int) -> int:
+        parity = {start: 0}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w, band in adj[v]:
+                if w not in parity:
+                    parity[w] = parity[v] ^ (band != _STRAND)
+                    stack.append(w)
+        cid = len(comps)
+        for v in parity:
+            owner[v] = cid
+        comps.append((parity, any(v in forced or v in stubs for v in parity)))
+        return cid
+
+    def arcs_of(cid: int) -> list[tuple[int, int, int]]:
+        return [(band, v >> 1, w >> 1) for v in comps[cid][0]
+                for w, band in adj[v] if band != _STRAND and v < w]
+
+    def line_marks(cid: int) -> dict[int, str]:
+        """Marks on a line, walked from its bottom-layer, leftmost ray end."""
+        parity = comps[cid][0]
+        start = min((u for u in parity if u in forced), key=lambda u: (u & 1, u))
+        same = forced[start]
+        other = UP if same == DOWN else DOWN
+        return {v: same if p == parity[start] else other for v, p in parity.items()}
+
+    def high_marks(cid: int) -> dict[int, str]:
+        """{column: mark} of the high orientation of a circle."""
+        parity = comps[cid][0]
+        level = next(iter(parity)) & 1
+        cols = sorted(v >> 1 for v in parity if v & 1 == level)
+        seed = parity[2 * cols[0] + level]
+        marks = {c: DOWN if parity[2 * c + level] == seed else UP for c in cols}
+        arcs = arcs_of(cid)
+        if sum(1 for _, a, _b in arcs if marks[a] == UP) != len(arcs) // 2 + 1:
+            marks = {c: UP if m == DOWN else DOWN for c, m in marks.items()}
+        return marks
+
+    def circles() -> list[tuple[int, int, dict[int, str]]]:
+        """(id, leftmost point, high marks) of the current circles."""
+        out = []
+        for cid in sorted(set(owner[2:])):
+            if not comps[cid][1]:
+                marks = high_marks(cid)
+                out.append((cid, min(marks), marks))
+        return out
+
+    for v in range(2, size):
+        if owner[v] < 0:
+            register(v)
+    factor_circles: tuple[list, list] = ([], [])
+    for cid, leftmost, marks in circles():
+        layer = next(iter(comps[cid][0])) & 1
+        factor_circles[layer].append((1 << cid, leftmost, marks[leftmost]))
+
+    events: list[tuple] = []
+    for r in my.rays:
+        lo, hi = 2 * r, 2 * r + 1
+        closes = owner[lo] == owner[hi]
+        stubs -= {lo, hi}
+        link(lo, hi, _STRAND)
+        g = register(hi)
+        if closes:  # the line closes into a circle, born with X
+            cols = {v >> 1 for v in comps[g][0]}
+            sign = (-1) ** (min(cols & set(my.rays)) + 1)
+            events.append((_BIRTH, 1 << g, (1, sign, sign * (-1) ** min(cols))))
+
+    parity = 0
+    zero = False
     for i, j in cup_order:
-        a_key = mv.find(comps, ("u", i))
-        b_key = mv.find(comps, ("l", i))
-        was_line = comps[a_key]["kind"] == LINE
-        mv.arcs.discard((_B_CUP_MID, i, j))
-        mv.arcs.discard((_B_CAP_MID, i, j))
-        mv.verticals.add(i)
-        mv.verticals.add(j)
-        comps = mv.components()
-        if a_key == b_key:
-            pieces = {mv.find(comps, ("u", i)), mv.find(comps, ("u", j))}
-            if not was_line:
-                total += i  # circle split
-            elif len(pieces) == 2 and any(
-                    comps[p]["kind"] == CIRCLE for p in pieces):
-                total += i  # a circle pinched off a line
-    return total % 2
+        li, ui, lj, uj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+        a, b = owner[ui], owner[li]
+        a_line, b_line = comps[a][1], comps[b][1]
+        # read before rewiring: marks where lines meet, nesting of merging circles
+        clockwise = a_line and b_line and not line_marks(a)[ui] == line_marks(b)[li] == DOWN
+        inner = 0
+        if a != b and not (a_line or b_line):
+            a_arcs, b_arcs = arcs_of(a), arcs_of(b)
+            inner = (1 << a if _inside(a_arcs, b_arcs)
+                     else 1 << b if _inside(b_arcs, a_arcs) else 0)
+        adj[li].remove((lj, _B_CAP_MID))
+        adj[lj].remove((li, _B_CAP_MID))
+        adj[ui].remove((uj, _B_CUP_MID))
+        adj[uj].remove((ui, _B_CUP_MID))
+        link(li, ui, _STRAND)
+        link(lj, uj, _STRAND)
+        gi = register(ui)
+        gj = gi if uj in comps[gi][0] else register(uj)
+        if a != b:
+            if a_line and b_line:  # two line segments reconnect
+                zero = zero or clockwise
+            elif a_line or b_line:
+                events.append((_KILL, 1 << (b if a_line else a)))
+            else:
+                events.append((_MERGE, 1 << a, 1 << b, 1 << gi, inner))
+        elif not a_line:
+            if gi == gj:
+                raise RuntimeError("self-saddle failed to split a circle (non-planar state)")
+            parity += i
+            gi_arcs, gj_arcs = arcs_of(gi), arcs_of(gj)
+            outer = (1 << gj if _inside(gi_arcs, gj_arcs)
+                     else 1 << gi if _inside(gj_arcs, gi_arcs) else 0)
+            events.append((_SPLIT, 1 << a, 1 << gi, 1 << gj, (-1) ** i, outer))
+        else:
+            born = [g for g in (gi, gj) if not comps[g][1]]
+            if born:  # a circle pinches off the line, born with X
+                parity += i
+                sign = (-1) ** i
+                low = min(v >> 1 for v in comps[born[0]][0])
+                events.append((_BIRTH, 1 << born[0], (1, sign, sign * (-1) ** low)))
+            else:  # the line reconnects with itself
+                zero = zero or clockwise
+
+    outputs: dict[int, tuple[BasisElement, int]] = {}
+    if not zero:
+        marks = [""] * (x.n + 1)
+        for cid in set(owner[2:]):
+            if comps[cid][1]:
+                for v, mark in line_marks(cid).items():
+                    if forced.get(v, mark) != mark:
+                        raise RuntimeError("line marks inconsistent with rays")
+                    marks[v >> 1] = mark
+        final = circles()
+        for chosen in itertools.product((False, True), repeat=len(final)):
+            labels = flips = 0
+            for (cid, leftmost, high), on in zip(final, chosen):
+                for c, m in high.items():
+                    marks[c] = m if on else (UP if m == DOWN else DOWN)
+                if on:
+                    labels |= 1 << cid
+                    flips += leftmost
+            orient = Weight("".join(marks[1:]))
+            outputs[labels] = (BasisElement(x, z, orient), flips % 2)
+    return _CompiledMovie(zero, tuple(map(tuple, factor_circles)), tuple(events),
+                          parity % 2, outputs)
 
 
-def _run_movie(ba: BasisElement, bb: BasisElement, mode: str,
-               cup_order: tuple[tuple[int, int], ...]) -> dict[frozenset[frozenset], int]:
-    """Run the surgery movie; returns {set of X-labelled final components: coeff}.
+# ---------------------------------------------------------------------------
+# the movie, label pass: once per basis pair
 
-    Labels in minus mode are z-classes; callers convert at the boundary.
-    In minus and nested modes the result is renormalized by the split
-    parity of the canonical order, making the product independent of the
-    chosen cup order also on movies with handles (first possible at
-    n = 6), where the splitting cups themselves vary with the order.
-    Genus-0 movies have order-invariant split parity, so every
-    canonical-order value and every order of the handle-free products is
-    left untouched.
+
+def _fold(events: tuple, m: int, terms: dict[int, int]) -> dict[int, int]:
+    """Apply the movie's events to {label bitmask: coeff} under mode ``m``.
+
+    Merges use m (X.X = 0); nested mode uses m' there, under which an X on
+    the inner of two nested circles merges to -X.  Splits use Delta
+    (X -> X(x)X, 1 -> X(x)1 + 1(x)X), times (-1)**(left end) for
+    alpha = -1; nested mode uses Delta', which negates every term except
+    the one putting X on the outer of two nested pieces.
     """
-    mv = _Movie(ba.src, ba.tgt, bb.tgt)
-    comps = mv.components()
-
-    # initial labels: high circles of each factor carry X
-    start: set[frozenset] = set()
-    coeff = 1
-    for b_elt, level in ((ba, "l"), (bb, "u")):
-        for comp in b_elt.diagram().components:
-            if comp.kind == CIRCLE and _is_high(comp, b_elt.orient):
-                key = frozenset((level, v) for v in comp.vertices)
-                assert key in comps
-                start.add(key)
-                if mode == "minus":
-                    coeff *= (-1) ** comp.leftmost
-    if mode in ("minus", "nested"):
-        reference = canonical_order(mv.my)
-        if cup_order != reference:
-            drift = (_split_parity(ba.src, ba.tgt, bb.tgt, cup_order)
-                     + _split_parity(ba.src, ba.tgt, bb.tgt, reference))
-            coeff *= (-1) ** drift
-    terms: dict[frozenset, int] = {frozenset(start): coeff}
-
-    steps = [("ray", r) for r in sorted(mv.my.rays)] + [("cup", c) for c in cup_order]
-    for kind, data in steps:
+    for event in events:
+        kind = event[0]
+        if kind == _BIRTH:
+            _, g, factors = event
+            f = factors[m]
+            terms = {labels | g: c * f for labels, c in terms.items()}
+        elif kind == _KILL:
+            terms = {labels: c for labels, c in terms.items() if not labels & event[1]}
+        else:
+            out: dict[int, int] = {}
+            if kind == _MERGE:
+                _, a, b, g, inner = event
+                for labels, c in terms.items():
+                    has_a, has_b = labels & a, labels & b
+                    if has_a and has_b:
+                        continue  # X * X = 0
+                    rest = labels & ~(a | b)
+                    if has_a or has_b:
+                        rest |= g
+                        if m == 2 and labels & inner:
+                            c = -c  # m': 1 (x) X_inner -> -X
+                    out[rest] = out.get(rest, 0) + c
+            else:
+                _, a, gi, gj, sign, outer = event
+                if m == 0:
+                    fx = fi = fj = 1
+                elif m == 1:
+                    fx = fi = fj = sign
+                else:
+                    fx, fi, fj = -1, 1 if gi == outer else -1, 1 if gj == outer else -1
+                for labels, c in terms.items():
+                    rest = labels & ~a
+                    if labels & a:
+                        new = ((rest | gi | gj, c * fx),)
+                    else:
+                        new = ((rest | gi, c * fi), (rest | gj, c * fj))
+                    for key, value in new:
+                        out[key] = out.get(key, 0) + value
+            terms = {labels: c for labels, c in out.items() if c}
         if not terms:
             break
-        if kind == "ray":
-            terms, comps = _ray_step(mv, comps, terms, data, mode)
-        else:
-            terms, comps = _cup_step(mv, comps, terms, data, mode)
     return terms
-
-
-def _retag(terms, updater):
-    """Rebuild the term dict, letting ``updater`` map each term's label set."""
-    out: dict[frozenset, int] = {}
-    for labels, coeff in terms.items():
-        for new_labels, factor in updater(labels):
-            if factor == 0:
-                continue
-            key = frozenset(new_labels)
-            out[key] = out.get(key, 0) + coeff * factor
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _ray_step(mv: _Movie, comps, terms, r: int, mode: str):
-    a_key = mv.find(comps, ("u", r))
-    b_key = mv.find(comps, ("l", r))
-    mv.verticals.add(r)
-    mv.stubs.discard(r)
-    new_comps = mv.components()
-    if a_key != b_key:
-        # joining two stub-ended lines; stub marks agree by construction
-        return terms, new_comps
-    # the connection closes the line into a circle
-    gamma = mv.find(new_comps, ("u", r))
-    r_star = min(col for _, col in gamma if col in mv.my.rays)
-    if mode == "plus":
-        factor = 1
-    elif mode == "minus":
-        factor = (-1) ** (r_star + 1)
-    else:
-        factor = (-1) ** (r_star + 1 + _min_col(gamma))
-
-    def upd(labels):
-        yield labels | {gamma}, factor
-
-    return _retag(terms, upd), new_comps
-
-
-def _cup_step(mv: _Movie, comps, terms, cup: tuple[int, int], mode: str):
-    i, j = cup
-    a_key = mv.find(comps, ("u", i))
-    b_key = mv.find(comps, ("l", i))
-    a, b = comps[a_key], comps[b_key]
-
-    # marks must be read before rewiring
-    if a["kind"] == LINE and b["kind"] == LINE and a_key != b_key:
-        mark_u = mv.mark_at(comps, a_key, ("u", i))
-        mark_l = mv.mark_at(comps, b_key, ("l", i))
-        line_factor = 1 if (mark_u == mark_l == DOWN) else 0
-    elif a_key == b_key and a["kind"] == LINE:
-        mark_u = mv.mark_at(comps, a_key, ("u", i))
-        mark_l = mv.mark_at(comps, a_key, ("l", i))
-        line_factor = 1 if (mark_u == mark_l == DOWN) else 0
-    else:
-        line_factor = None
-
-    mv.arcs.discard((_B_CUP_MID, i, j))
-    mv.arcs.discard((_B_CAP_MID, i, j))
-    mv.verticals.add(i)
-    mv.verticals.add(j)
-    new_comps = mv.components()
-
-    if a_key != b_key:
-        if a["kind"] == CIRCLE and b["kind"] == CIRCLE:
-            gamma = mv.find(new_comps, ("u", i))
-            pair = mv.nested_pair(a, b) if mode == "nested" else None
-
-            def upd(labels):
-                has_a, has_b = a_key in labels, b_key in labels
-                rest = labels - {a_key, b_key}
-                if has_a and has_b:
-                    return  # X * X = 0
-                if not (has_a or has_b):
-                    yield rest, 1
-                    return
-                factor = 1
-                if pair is not None:
-                    inner_key = pair[1]["nodes"]
-                    if (has_a and a_key == inner_key) or (has_b and b_key == inner_key):
-                        factor = -1  # m': 1 (x) X_inner -> -X
-                yield rest | {gamma}, factor
-
-            return _retag(terms, upd), new_comps
-
-        if LINE in (a["kind"], b["kind"]) and CIRCLE in (a["kind"], b["kind"]):
-            circle_key = a_key if a["kind"] == CIRCLE else b_key
-
-            def upd(labels):
-                if circle_key in labels:
-                    return  # the circle variable dies on the line
-                yield labels, 1
-
-            return _retag(terms, upd), new_comps
-
-        # two line segments reconnect; identity only for counter-clockwise arcs
-        def upd(labels):
-            yield labels, line_factor
-
-        return _retag(terms, upd), new_comps
-
-    # self-saddle
-    if a["kind"] == CIRCLE:
-        gi = mv.find(new_comps, ("u", i))
-        gj = mv.find(new_comps, ("u", j))
-        if gi == gj:
-            raise RuntimeError("self-saddle failed to split a circle (non-planar state)")
-        pair = mv.nested_pair(new_comps[gi], new_comps[gj]) if mode == "nested" else None
-        sign = (-1) ** i if mode == "minus" else 1
-
-        def upd(labels):
-            rest = labels - {a_key}
-            if a_key in labels:
-                factor = -1 if mode == "nested" else sign
-                yield rest | {gi, gj}, factor
-                return
-            if mode == "nested":
-                if pair is not None:
-                    outer_key = pair[0]["nodes"]
-                    yield rest | {gi}, 1 if gi == outer_key else -1
-                    yield rest | {gj}, 1 if gj == outer_key else -1
-                else:
-                    yield rest | {gi}, -1
-                    yield rest | {gj}, -1
-            else:
-                yield rest | {gi}, sign
-                yield rest | {gj}, sign
-
-        return _retag(terms, upd), new_comps
-
-    # self-saddle on a line: either a circle pinches off or the line reconnects
-    pieces = {mv.find(new_comps, ("u", i)), mv.find(new_comps, ("u", j))}
-    circle_keys = [k for k in pieces if new_comps[k]["kind"] == CIRCLE]
-    if not circle_keys:
-        def upd(labels):
-            yield labels, line_factor
-
-        return _retag(terms, upd), new_comps
-
-    gamma = circle_keys[0]
-    if mode == "plus":
-        factor = 1
-    elif mode == "minus":
-        factor = (-1) ** i
-    else:
-        factor = (-1) ** (i + _min_col(gamma))
-
-    def upd(labels):
-        yield labels | {gamma}, factor
-
-    return _retag(terms, upd), new_comps
 
 
 # ---------------------------------------------------------------------------
@@ -629,33 +499,50 @@ _PRODUCT_CACHE: dict = {}
 
 def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
                     cup_order: tuple[tuple[int, int], ...]) -> AlgebraElement:
+    """Product of two basis elements through the compiled movie.
+
+    Labels in minus mode are z-classes, converted to leftmost-x classes at
+    both ends.  In minus and nested modes the result is renormalized by
+    the split parity of the canonical order, making the product
+    independent of the chosen cup order also on movies with handles
+    (first possible at n = 6), where the splitting cups themselves vary
+    with the order.  Genus-0 movies have order-invariant split parity, so
+    every canonical-order value and every order of the handle-free
+    products is left untouched.
+    """
     key = (ba, bb, mode, cup_order)
     hit = _PRODUCT_CACHE.get(key)
     if hit is not None:
         return hit
-    x, z = ba.src, bb.tgt
-    raw = _run_movie(ba, bb, mode, cup_order)
-    zout = diagram_of(x, z)
-    by_cols = {frozenset(c.vertices): c for c in zout.components}
+    x, y, z = ba.src, ba.tgt, bb.tgt
+    movie = _compile_movie(x, y, z, cup_order)
     out: dict[BasisElement, int] = {}
-    for labels, coeff in raw.items():
-        labelled_cols = {frozenset(col for _, col in key_) for key_ in labels}
-        marks: dict[int, str] = {}
-        for comp in zout.components:
-            cols = frozenset(comp.vertices)
-            if comp.kind == LINE:
-                marks.update(_line_marks(comp, x, z))
-            else:
-                high = cols in labelled_cols
-                marks.update(_circle_marks(comp, high))
-                if high and mode == "minus":
-                    coeff *= (-1) ** comp.leftmost  # z -> leftmost-x dictionary
-        v = Weight("".join(marks[i] for i in range(1, x.n + 1)))
-        be = BasisElement(x, z, v)
-        out[be] = out.get(be, 0) + coeff
+    if not movie.zero:
+        m = _MODES[mode]
+        labels = flips = 0
+        for b, circles in zip((ba, bb), movie.factor_circles):
+            for bit, leftmost, high in circles:
+                if b.orient.marks[leftmost - 1] == high:
+                    labels |= bit
+                    flips += leftmost
+        coeff = -1 if m == 1 and flips % 2 else 1
+        reference = canonical_order(weight_to_m(y))
+        if m and cup_order != reference:
+            if movie.parity != _compile_movie(x, y, z, reference).parity:
+                coeff = -coeff
+        for labels, c in _fold(movie.events, m, {labels: coeff}).items():
+            b, flips = movie.outputs[labels]
+            out[b] = -c if m == 1 and flips else c  # z -> leftmost-x dictionary
     result = AlgebraElement(x, z, out)
     _PRODUCT_CACHE[key] = result
     return result
+
+
+def clear_caches() -> None:
+    """Empty the product memo, the compiled movies and the diagram memos."""
+    _PRODUCT_CACHE.clear()
+    for memo in (_compile_movie, basis, diagram_of, weight_to_m, canonical_order):
+        memo.cache_clear()
 
 
 def _compose(a: AlgebraElement, b: AlgebraElement, mode: str, order) -> AlgebraElement:
@@ -757,12 +644,14 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
     weights, els = algebra_basis(shape, standard_only)
     index = {b: i for i, b in enumerate(els)}
     the_mode = mode or ("plus" if alpha == 1 else "minus")
+    by_src: dict[Weight, list[tuple[int, BasisElement]]] = {}
+    for j, bj in enumerate(els):
+        by_src.setdefault(bj.src, []).append((j, bj))
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for i, bi in enumerate(els):
-        for j, bj in enumerate(els):
-            if bi.tgt != bj.src:
-                continue
-            prod = _multiply_basis(bi, bj, the_mode, canonical_order(weight_to_m(bi.tgt)))
+        order = canonical_order(weight_to_m(bi.tgt))
+        for j, bj in by_src.get(bi.tgt, ()):
+            prod = _multiply_basis(bi, bj, the_mode, order)
             if prod.terms:
                 products[(i, j)] = tuple(sorted((index[b], c) for b, c in prod.terms.items()))
     return StructureTable(shape, alpha, weights, els, products)

@@ -79,7 +79,12 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_fixedpoints(args) -> int:
+    shape = _shape(args)
     a, b = Weight.parse(args.a), Weight.parse(args.b)
+    for flag, w in (("--a", a), ("--b", b)):
+        if (w.n, w.k) != (shape.n, shape.k):
+            raise ValidationError(f"weight {flag} {w} has shape ({w.n},{w.k}), "
+                                  f"not --n {shape.n} --k {shape.k}")
     z = glue(weight_to_m(b), weight_to_m(a))
     vs = orientations(z, a, b)
     if args.format == "json":

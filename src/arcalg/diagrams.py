@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 UP = "^"
@@ -253,6 +254,7 @@ def tableau_of_weight(w: Weight) -> StandardTableau:
                            tuple(sorted(w.downs(), reverse=True)))
 
 
+@lru_cache(maxsize=1024)
 def weight_to_m(w: Weight) -> CupDiagram:
     """Greedy cup diagram m(w): repeatedly match adjacent down-up pairs.
 
@@ -302,7 +304,8 @@ def tableau_to_cup(s: StandardTableau) -> CupDiagram:
     if not s.is_standard():
         raise ValidationError(f"tableau {s} is not standard (columns must decrease)")
     c = weight_to_m(weight_of_tableau(s))
-    assert c.k == s.k
+    if c.k != s.k:
+        raise RuntimeError(f"m of standard tableau {s} has {c.k} cups, not {s.k}")
     return c
 
 
@@ -328,7 +331,9 @@ def enumerate_weights(shape: Shape) -> list[Weight]:
 def enumerate_standard(shape: Shape) -> list[StandardTableau]:
     """All standard tableaux, ordered by the canonical order of their weights."""
     tabs = [tableau_of_weight(w) for w in enumerate_weights(shape) if w.is_standard()]
-    assert len(tabs) == comb(shape.n, shape.k) - (comb(shape.n, shape.k - 1) if shape.k else 0)
+    expected = comb(shape.n, shape.k) - (comb(shape.n, shape.k - 1) if shape.k else 0)
+    if len(tabs) != expected:
+        raise RuntimeError(f"found {len(tabs)} standard tableaux of {shape}, expected {expected}")
     return tabs
 
 

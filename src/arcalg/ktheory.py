@@ -65,7 +65,8 @@ def theta_set(w: Weight) -> tuple[Weight, ...]:
     for r in range(len(cups) + 1):
         for subset in combinations(cups, r):
             out.append(_switch(w, subset))
-    assert len(set(out)) == 2 ** len(cups)
+    if len(set(out)) != 2 ** len(cups):
+        raise RuntimeError(f"cup switches of {w} are not distinct")
     return tuple(sorted(out, key=weight_sort_key))
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written against different machinery than
 the package (networkx multigraphs, bit-parallel enumeration, brute-force
 closures) so that agreement is a genuine cross-check rather than the
-same code run twice.
+same code run twice.  The one exception is the reference surgery movie,
+the package's earlier engine, against which the compiled movie is
+compared step for step.
 """
 from __future__ import annotations
 
@@ -11,7 +13,9 @@ from functools import lru_cache
 
 import networkx as nx
 
-from arcalg.diagrams import DOWN, UP, Weight, weight_to_m
+from arcalg.arc_algebra import BasisElement, canonical_order, diagram_of
+from arcalg.diagrams import (CIRCLE, DOWN, LINE, UP, Component, Weight,
+                             weight_to_m)
 
 # ---------------------------------------------------------------------------
 # bit-parallel exhaustive orientation filter: bitmaps over all 2**n mark
@@ -296,6 +300,446 @@ def direct_product_oracle(x: Weight, y: Weight, z: Weight,
         s = "".join(marks[i] for i in range(1, n + 1))
         out[s] = out.get(s, 0) + coeff
     return {k: v for k, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# reference surgery movie: the package's earlier engine, kept verbatim as a
+# differential reference for the compiled movie in arcalg.arc_algebra.  It
+# rebuilds every component from scratch after each surgery and tracks labels
+# as sets of node sets, so it is slow but easy to read.
+
+def _circle_marks(comp: Component, high: bool) -> dict[int, str]:
+    """Marks of the low or high orientation of a circle component."""
+    for seed in (DOWN, UP):
+        marks = {comp.leftmost: seed}
+        frontier = [comp.leftmost]
+        while frontier:
+            v = frontier.pop()
+            for _, a, b in comp.arcs:
+                if v in (a, b):
+                    other = a if v == b else b
+                    want = UP if marks[v] == DOWN else DOWN
+                    if other not in marks:
+                        marks[other] = want
+                        frontier.append(other)
+        ups_left = sum(1 for (_, a, _b) in comp.arcs if marks[a] == UP)
+        half = len(comp.arcs) // 2
+        if (ups_left == half + 1) == high:
+            return marks
+    raise RuntimeError(f"circle {comp.vertices} has no {'high' if high else 'low'} orientation")
+
+
+def _is_high(comp: Component, v: Weight) -> bool:
+    ups_left = sum(1 for (_, a, _b) in comp.arcs if v.mark(a) == UP)
+    return ups_left == len(comp.arcs) // 2 + 1
+
+
+def _line_marks(comp: Component, w_bottom: Weight, w_top: Weight) -> dict[int, str]:
+    """The forced orientation of a line component of a glued diagram."""
+    forced = {r: w_bottom.mark(r) for r in comp.bottom_rays}
+    forced.update({r: w_top.mark(r) for r in comp.top_rays})
+    start, mark = next(iter(forced.items()))
+    marks = {start: mark}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for _, a, b in comp.arcs:
+            if v in (a, b):
+                other = a if v == b else b
+                want = UP if marks[v] == DOWN else DOWN
+                if other not in marks:
+                    marks[other] = want
+                    frontier.append(other)
+    for r, mk in forced.items():
+        if marks.get(r) != mk:
+            raise RuntimeError("line marks inconsistent with rays")
+    return marks
+
+
+# bands, bottom to top: cups of m(x), caps of m(y), cups of m(y), caps of m(z)
+_B_CUP_X, _B_CAP_MID, _B_CUP_MID, _B_CAP_Z = 0, 1, 2, 3
+
+
+class _Movie:
+    def __init__(self, x: Weight, y: Weight, z: Weight):
+        self.x, self.y, self.z = x, y, z
+        self.n = x.n
+        self.mx, self.my, self.mz = weight_to_m(x), weight_to_m(y), weight_to_m(z)
+        self.arcs: set[tuple[int, int, int]] = set()
+        for a, b in self.mx.cups:
+            self.arcs.add((_B_CUP_X, a, b))
+        for a, b in self.my.cups:
+            self.arcs.add((_B_CAP_MID, a, b))
+            self.arcs.add((_B_CUP_MID, a, b))
+        for a, b in self.mz.cups:
+            self.arcs.add((_B_CAP_Z, a, b))
+        self.verticals: set[int] = set()
+        self.stubs: set[int] = set(self.my.rays)
+
+    # -- components ---------------------------------------------------------
+
+    def components(self) -> dict[frozenset, dict]:
+        adj: dict[tuple[str, int], list] = {}
+        for lv in ("l", "u"):
+            for i in range(1, self.n + 1):
+                adj[(lv, i)] = []
+        for band, a, b in self.arcs:
+            lv = "l" if band in (_B_CUP_X, _B_CAP_MID) else "u"
+            adj[(lv, a)].append((lv, b))
+            adj[(lv, b)].append((lv, a))
+        for c in self.verticals:
+            adj[("l", c)].append(("u", c))
+            adj[("u", c)].append(("l", c))
+        ends = {("l", r) for r in self.mx.rays} | {("u", r) for r in self.mz.rays}
+        for r in self.stubs:
+            ends.add(("l", r))
+            ends.add(("u", r))
+        out: dict[frozenset, dict] = {}
+        seen: set = set()
+        for start in adj:
+            if start in seen:
+                continue
+            nodes = set()
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                if v in nodes:
+                    continue
+                nodes.add(v)
+                stack.extend(adj[v])
+            seen |= nodes
+            arcs = frozenset(arc for arc in self.arcs
+                             if (("l" if arc[0] in (_B_CUP_X, _B_CAP_MID) else "u"), arc[1]) in nodes)
+            kind = LINE if nodes & ends else CIRCLE
+            key = frozenset(nodes)
+            out[key] = {"nodes": key, "arcs": arcs, "kind": kind}
+        return out
+
+    def find(self, comps: dict, node: tuple[str, int]) -> frozenset:
+        for key in comps:
+            if node in key:
+                return key
+        raise RuntimeError(f"node {node} not found")
+
+    # -- forced marks on lines ----------------------------------------------
+
+    def mark_at(self, comps: dict, key: frozenset, node: tuple[str, int]) -> str:
+        forced: dict[tuple[str, int], str] = {}
+        for r in self.mx.rays:
+            if ("l", r) in key:
+                forced[("l", r)] = self.x.mark(r)
+        for r in self.mz.rays:
+            if ("u", r) in key:
+                forced[("u", r)] = self.z.mark(r)
+        for r in self.stubs:
+            for lv in ("l", "u"):
+                if (lv, r) in key:
+                    forced[(lv, r)] = self.y.mark(r)
+        if not forced:
+            raise RuntimeError("line without a forced end")
+        start, mark = next(iter(forced.items()))
+        marks = {start: mark}
+        frontier = [start]
+        arcs = comps[key]["arcs"]
+        while frontier:
+            v = frontier.pop()
+            lv, col = v
+            for band, a, b in arcs:
+                alv = "l" if band in (_B_CUP_X, _B_CAP_MID) else "u"
+                if alv == lv and col in (a, b):
+                    other = (alv, a if col == b else b)
+                    want = UP if marks[v] == DOWN else DOWN
+                    if other not in marks:
+                        marks[other] = want
+                        frontier.append(other)
+            if col in self.verticals:
+                other = ("u" if lv == "l" else "l", col)
+                if other not in marks:
+                    marks[other] = marks[v]
+                    frontier.append(other)
+        return marks[node]
+
+    # -- nesting test --------------------------------------------------------
+
+    @staticmethod
+    def _inside(p: dict, q: dict) -> bool:
+        band, i, j = min(p["arcs"])
+        t = 2 * i + 1  # doubled coordinates: arc (a, b) covers t iff 2a < t < 2b
+        if band in (_B_CUP_X, _B_CUP_MID):  # cup: shoot downward
+            hits = sum(1 for (b2, a, c) in q["arcs"] if b2 <= band and 2 * a < t < 2 * c)
+        else:  # cap: shoot upward
+            hits = sum(1 for (b2, a, c) in q["arcs"] if b2 >= band and 2 * a < t < 2 * c)
+        return hits % 2 == 1
+
+    def nested_pair(self, p: dict, q: dict) -> tuple[dict, dict] | None:
+        """(outer, inner) when one circle encloses the other, else None."""
+        if self._inside(p, q):
+            return (q, p)
+        if self._inside(q, p):
+            return (p, q)
+        return None
+
+
+def _min_col(key: frozenset) -> int:
+    return min(col for _, col in key)
+
+
+def _split_parity(x: Weight, y: Weight, z: Weight,
+                  cup_order: tuple[tuple[int, int], ...]) -> int:
+    """Parity of the sum of left ends over the splitting and birthing cups.
+
+    Which cups split (rather than merge) depends on the chosen order once
+    the movie has positive genus, and the raw geometric sign
+    (-1)**(left end) follows the splitting cup around.  This structural
+    pass classifies the events without touching labels, so the sign
+    drift between two orders can be cancelled exactly.
+    """
+    mv = _Movie(x, y, z)
+    comps = mv.components()
+    total = 0
+    for r in sorted(mv.my.rays):
+        mv.verticals.add(r)
+        mv.stubs.discard(r)
+    comps = mv.components()
+    for i, j in cup_order:
+        a_key = mv.find(comps, ("u", i))
+        b_key = mv.find(comps, ("l", i))
+        was_line = comps[a_key]["kind"] == LINE
+        mv.arcs.discard((_B_CUP_MID, i, j))
+        mv.arcs.discard((_B_CAP_MID, i, j))
+        mv.verticals.add(i)
+        mv.verticals.add(j)
+        comps = mv.components()
+        if a_key == b_key:
+            pieces = {mv.find(comps, ("u", i)), mv.find(comps, ("u", j))}
+            if not was_line:
+                total += i  # circle split
+            elif len(pieces) == 2 and any(
+                    comps[p]["kind"] == CIRCLE for p in pieces):
+                total += i  # a circle pinched off a line
+    return total % 2
+
+
+def _run_movie(ba: BasisElement, bb: BasisElement, mode: str,
+               cup_order: tuple[tuple[int, int], ...]) -> dict[frozenset[frozenset], int]:
+    """Run the surgery movie; returns {set of X-labelled final components: coeff}.
+
+    Labels in minus mode are z-classes; callers convert at the boundary.
+    In minus and nested modes the result is renormalized by the split
+    parity of the canonical order, making the product independent of the
+    chosen cup order also on movies with handles (first possible at
+    n = 6), where the splitting cups themselves vary with the order.
+    Genus-0 movies have order-invariant split parity, so every
+    canonical-order value and every order of the handle-free products is
+    left untouched.
+    """
+    mv = _Movie(ba.src, ba.tgt, bb.tgt)
+    comps = mv.components()
+
+    # initial labels: high circles of each factor carry X
+    start: set[frozenset] = set()
+    coeff = 1
+    for b_elt, level in ((ba, "l"), (bb, "u")):
+        for comp in b_elt.diagram().components:
+            if comp.kind == CIRCLE and _is_high(comp, b_elt.orient):
+                key = frozenset((level, v) for v in comp.vertices)
+                assert key in comps
+                start.add(key)
+                if mode == "minus":
+                    coeff *= (-1) ** comp.leftmost
+    if mode in ("minus", "nested"):
+        reference = canonical_order(mv.my)
+        if cup_order != reference:
+            drift = (_split_parity(ba.src, ba.tgt, bb.tgt, cup_order)
+                     + _split_parity(ba.src, ba.tgt, bb.tgt, reference))
+            coeff *= (-1) ** drift
+    terms: dict[frozenset, int] = {frozenset(start): coeff}
+
+    steps = [("ray", r) for r in sorted(mv.my.rays)] + [("cup", c) for c in cup_order]
+    for kind, data in steps:
+        if not terms:
+            break
+        if kind == "ray":
+            terms, comps = _ray_step(mv, comps, terms, data, mode)
+        else:
+            terms, comps = _cup_step(mv, comps, terms, data, mode)
+    return terms
+
+
+def _retag(terms, updater):
+    """Rebuild the term dict, letting ``updater`` map each term's label set."""
+    out: dict[frozenset, int] = {}
+    for labels, coeff in terms.items():
+        for new_labels, factor in updater(labels):
+            if factor == 0:
+                continue
+            key = frozenset(new_labels)
+            out[key] = out.get(key, 0) + coeff * factor
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _ray_step(mv: _Movie, comps, terms, r: int, mode: str):
+    a_key = mv.find(comps, ("u", r))
+    b_key = mv.find(comps, ("l", r))
+    mv.verticals.add(r)
+    mv.stubs.discard(r)
+    new_comps = mv.components()
+    if a_key != b_key:
+        # joining two stub-ended lines; stub marks agree by construction
+        return terms, new_comps
+    # the connection closes the line into a circle
+    gamma = mv.find(new_comps, ("u", r))
+    r_star = min(col for _, col in gamma if col in mv.my.rays)
+    if mode == "plus":
+        factor = 1
+    elif mode == "minus":
+        factor = (-1) ** (r_star + 1)
+    else:
+        factor = (-1) ** (r_star + 1 + _min_col(gamma))
+
+    def upd(labels):
+        yield labels | {gamma}, factor
+
+    return _retag(terms, upd), new_comps
+
+
+def _cup_step(mv: _Movie, comps, terms, cup: tuple[int, int], mode: str):
+    i, j = cup
+    a_key = mv.find(comps, ("u", i))
+    b_key = mv.find(comps, ("l", i))
+    a, b = comps[a_key], comps[b_key]
+
+    # marks must be read before rewiring
+    if a["kind"] == LINE and b["kind"] == LINE and a_key != b_key:
+        mark_u = mv.mark_at(comps, a_key, ("u", i))
+        mark_l = mv.mark_at(comps, b_key, ("l", i))
+        line_factor = 1 if (mark_u == mark_l == DOWN) else 0
+    elif a_key == b_key and a["kind"] == LINE:
+        mark_u = mv.mark_at(comps, a_key, ("u", i))
+        mark_l = mv.mark_at(comps, a_key, ("l", i))
+        line_factor = 1 if (mark_u == mark_l == DOWN) else 0
+    else:
+        line_factor = None
+
+    mv.arcs.discard((_B_CUP_MID, i, j))
+    mv.arcs.discard((_B_CAP_MID, i, j))
+    mv.verticals.add(i)
+    mv.verticals.add(j)
+    new_comps = mv.components()
+
+    if a_key != b_key:
+        if a["kind"] == CIRCLE and b["kind"] == CIRCLE:
+            gamma = mv.find(new_comps, ("u", i))
+            pair = mv.nested_pair(a, b) if mode == "nested" else None
+
+            def upd(labels):
+                has_a, has_b = a_key in labels, b_key in labels
+                rest = labels - {a_key, b_key}
+                if has_a and has_b:
+                    return  # X * X = 0
+                if not (has_a or has_b):
+                    yield rest, 1
+                    return
+                factor = 1
+                if pair is not None:
+                    inner_key = pair[1]["nodes"]
+                    if (has_a and a_key == inner_key) or (has_b and b_key == inner_key):
+                        factor = -1  # m': 1 (x) X_inner -> -X
+                yield rest | {gamma}, factor
+
+            return _retag(terms, upd), new_comps
+
+        if LINE in (a["kind"], b["kind"]) and CIRCLE in (a["kind"], b["kind"]):
+            circle_key = a_key if a["kind"] == CIRCLE else b_key
+
+            def upd(labels):
+                if circle_key in labels:
+                    return  # the circle variable dies on the line
+                yield labels, 1
+
+            return _retag(terms, upd), new_comps
+
+        # two line segments reconnect; identity only for counter-clockwise arcs
+        def upd(labels):
+            yield labels, line_factor
+
+        return _retag(terms, upd), new_comps
+
+    # self-saddle
+    if a["kind"] == CIRCLE:
+        gi = mv.find(new_comps, ("u", i))
+        gj = mv.find(new_comps, ("u", j))
+        if gi == gj:
+            raise RuntimeError("self-saddle failed to split a circle (non-planar state)")
+        pair = mv.nested_pair(new_comps[gi], new_comps[gj]) if mode == "nested" else None
+        sign = (-1) ** i if mode == "minus" else 1
+
+        def upd(labels):
+            rest = labels - {a_key}
+            if a_key in labels:
+                factor = -1 if mode == "nested" else sign
+                yield rest | {gi, gj}, factor
+                return
+            if mode == "nested":
+                if pair is not None:
+                    outer_key = pair[0]["nodes"]
+                    yield rest | {gi}, 1 if gi == outer_key else -1
+                    yield rest | {gj}, 1 if gj == outer_key else -1
+                else:
+                    yield rest | {gi}, -1
+                    yield rest | {gj}, -1
+            else:
+                yield rest | {gi}, sign
+                yield rest | {gj}, sign
+
+        return _retag(terms, upd), new_comps
+
+    # self-saddle on a line: either a circle pinches off or the line reconnects
+    pieces = {mv.find(new_comps, ("u", i)), mv.find(new_comps, ("u", j))}
+    circle_keys = [k for k in pieces if new_comps[k]["kind"] == CIRCLE]
+    if not circle_keys:
+        def upd(labels):
+            yield labels, line_factor
+
+        return _retag(terms, upd), new_comps
+
+    gamma = circle_keys[0]
+    if mode == "plus":
+        factor = 1
+    elif mode == "minus":
+        factor = (-1) ** i
+    else:
+        factor = (-1) ** (i + _min_col(gamma))
+
+    def upd(labels):
+        yield labels | {gamma}, factor
+
+    return _retag(terms, upd), new_comps
+
+
+def movie_product_oracle(ba: BasisElement, bb: BasisElement, mode: str,
+                         cup_order: tuple[tuple[int, int], ...]) -> dict[BasisElement, int]:
+    """Product of two basis elements as {basis element: coeff}, zeros dropped."""
+    x, z = ba.src, bb.tgt
+    raw = _run_movie(ba, bb, mode, cup_order)
+    zout = diagram_of(x, z)
+    out: dict[BasisElement, int] = {}
+    for labels, coeff in raw.items():
+        labelled_cols = {frozenset(col for _, col in key_) for key_ in labels}
+        marks: dict[int, str] = {}
+        for comp in zout.components:
+            cols = frozenset(comp.vertices)
+            if comp.kind == LINE:
+                marks.update(_line_marks(comp, x, z))
+            else:
+                high = cols in labelled_cols
+                marks.update(_circle_marks(comp, high))
+                if high and mode == "minus":
+                    coeff *= (-1) ** comp.leftmost  # z -> leftmost-x dictionary
+        v = Weight("".join(marks[i] for i in range(1, x.n + 1)))
+        be = BasisElement(x, z, v)
+        out[be] = out.get(be, 0) + coeff
+    return {b: c for b, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from arcalg import arc_algebra
 from arcalg.arc_algebra import (AlgebraElement, CompositionError,
                                 OrderError, StructureTable, basis,
                                 canonical_order, check_associativity,
@@ -226,6 +227,26 @@ def test_plus_product_matches_direct_oracle_4_2():
                                AlgebraElement(y, z, {b: 1}), 1)
                 want = direct_product_oracle(x, y, z, a.orient, b.orient)
                 assert {str(t.orient): c for t, c in got.terms.items()} == want
+
+
+# --- memos ---------------------------------------------------------------------------
+
+def test_clear_caches_empties_every_memo():
+    a = one(NESTED, NXT)
+    b = one(NXT, NESTED)
+    want = multiply(a, b, -1)
+    memos = (arc_algebra._compile_movie, arc_algebra.basis, arc_algebra.diagram_of,
+             arc_algebra.canonical_order, weight_to_m)
+    assert arc_algebra._PRODUCT_CACHE and all(m.cache_info().currsize for m in memos)
+    arc_algebra.clear_caches()
+    assert not arc_algebra._PRODUCT_CACHE
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+    assert multiply(a, b, -1) == want
+
+
+def test_memos_are_bounded():
+    memos = (arc_algebra._compile_movie, arc_algebra.canonical_order, weight_to_m)
+    assert all(m.cache_info().maxsize is not None for m in memos)
 
 
 # --- integrality and tables ----------------------------------------------------------

@@ -30,6 +30,16 @@ def test_fixedpoints_count(capsys):
     assert out.splitlines()[0] == "count 2"
 
 
+def test_fixedpoints_rejects_weights_of_another_shape(capsys):
+    code, out, err = run(capsys, "fixedpoints", "--n", "9", "--k", "1",
+                         "--a", "v^v^", "--b", "vv^^")
+    assert code == 1 and out == ""
+    assert "weight --a v^v^ has shape (4,2), not --n 9 --k 1" in err
+    code, _, err = run(capsys, "fixedpoints", "--n", "4", "--k", "1",
+                       "--a", "^^^v", "--b", "vv^^")
+    assert code == 1 and "weight --b vv^^" in err
+
+
 def test_multiply_paper_example(capsys):
     code, out, _ = run(capsys, "multiply", "--alpha", "-1",
                        "--left", "vv^^,v^v^", "--right", "v^v^,vv^^")

@@ -1,0 +1,92 @@
+"""The compiled movie against the reference movie in ``oracles.py``.
+
+Every composable basis pair, every nesting-compatible cup order and all
+three rule sets are compared for n <= 5 and at (6, 2), and so is every
+movie at (6, 3) whose split parity depends on the cup order (movies with
+handles first appear there).  Hypothesis samples pairs and orders at
+(6, 3) and (8, 4).  The caches are cleared first, so that products,
+compiled movies and bases are computed afresh rather than read from a
+memo.
+"""
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arcalg.arc_algebra import (_compile_movie, _multiply_basis, basis,
+                                canonical_order, clear_caches, cup_orders)
+from arcalg.diagrams import Shape, enumerate_weights, weight_to_m
+from oracles import _split_parity, movie_product_oracle
+
+MODES = ("plus", "minus", "nested")
+
+
+def _agrees(ba, bb, mode, order) -> None:
+    got = _multiply_basis(ba, bb, mode, order).terms
+    assert got == movie_product_oracle(ba, bb, mode, order), (str(ba), str(bb), mode, order)
+
+
+@pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 6) for k in range(n // 2 + 1)]
+                         + [Shape(6, 2)], ids=str)
+def test_every_pair_and_order(shape):
+    clear_caches()
+    ws = enumerate_weights(shape)
+    pairs = 0
+    for x, y, z in itertools.product(ws, repeat=3):
+        if not (basis(x, y) and basis(y, z)):
+            continue
+        for order in cup_orders(weight_to_m(y)):
+            assert _compile_movie(x, y, z, order).parity == _split_parity(x, y, z, order)
+            for ba, bb, mode in itertools.product(basis(x, y), basis(y, z), MODES):
+                _agrees(ba, bb, mode, order)
+                pairs += 1
+    assert pairs > 0
+
+
+def test_every_movie_whose_split_parity_depends_on_the_order_6_3():
+    # Such movies have handles; this is where the minus and nested modes
+    # renormalize by the canonical order's parity.
+    clear_caches()
+    ws = enumerate_weights(Shape(6, 3))
+    drifting = 0
+    for x, y, z in itertools.product(ws, repeat=3):
+        if not (basis(x, y) and basis(y, z)):
+            continue
+        orders = list(cup_orders(weight_to_m(y)))
+        reference = _split_parity(x, y, z, canonical_order(weight_to_m(y)))
+        for order in orders:
+            parity = _split_parity(x, y, z, order)
+            assert _compile_movie(x, y, z, order).parity == parity
+            if parity == reference:
+                continue
+            drifting += 1
+            for ba, bb, mode in itertools.product(basis(x, y), basis(y, z), MODES):
+                _agrees(ba, bb, mode, order)
+    assert drifting == 64
+
+
+@st.composite
+def movies(draw, shape):
+    """A composable basis pair of the shape, a valid cup order and a mode."""
+    ws = enumerate_weights(shape)
+    x = draw(st.sampled_from(ws))
+    y = draw(st.sampled_from([w for w in ws if basis(x, w)]))
+    z = draw(st.sampled_from([w for w in ws if basis(y, w)]))
+    order = draw(st.sampled_from(list(cup_orders(weight_to_m(y)))))
+    return (draw(st.sampled_from(basis(x, y))), draw(st.sampled_from(basis(y, z))),
+            draw(st.sampled_from(MODES)), order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(movies(Shape(6, 3)))
+def test_sampled_pairs_with_handles_6_3(movie):
+    clear_caches()
+    _agrees(*movie)
+
+
+@settings(max_examples=60, deadline=None)
+@given(movies(Shape(8, 4)))
+def test_sampled_pairs_8_4(movie):
+    clear_caches()
+    _agrees(*movie)
