@@ -42,11 +42,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagrams import (CIRCLE, CircleDiagram, Component, CupDiagram, DOWN,
-                       Shape, UP, ValidationError, Weight,
-                       enumerate_standard, enumerate_weights, glue,
-                       orientation_degree, orientations, render_circle_diagram,
-                       weight_of_tableau, weight_sort_key, weight_to_m)
+from .diagrams import (CircleDiagram, CupDiagram, DOWN, Shape, UP,
+                       ValidationError, Weight, _cup_depths, enumerate_standard,
+                       enumerate_weights, glue, orientation_degree, orientations,
+                       render_circle_diagram, weight_of_tableau, weight_sort_key,
+                       weight_to_m)
 
 
 class CompositionError(ValidationError):
@@ -129,8 +129,8 @@ class AlgebraElement:
             return "0"
         rendered = []
         for b, c in self.terms.items():
-            idxs = tuple(comp.leftmost for comp in b.diagram().components
-                         if comp.kind == CIRCLE and _is_high(comp, b.orient))
+            idxs = tuple(comp.leftmost for comp in b.diagram().circles()
+                         if b.orient.mark(comp.leftmost) == UP)
             mono = "*".join(f"x{i}" for i in idxs) if idxs else "1"
             rendered.append(((len(idxs), idxs), c, mono))
         parts = []
@@ -146,10 +146,6 @@ class AlgebraElement:
             return f"0 [{self.src}->{self.tgt}]"
         return " ".join(f"{c:+d}*{b}" for b, c in sorted(
             self.terms.items(), key=lambda t: weight_sort_key(t[0].orient)))
-
-
-def zero(x: Weight, y: Weight) -> AlgebraElement:
-    return AlgebraElement(x, y, {})
 
 
 def idempotent(x: Weight) -> AlgebraElement:
@@ -169,23 +165,15 @@ def low_element(x: Weight, y: Weight) -> AlgebraElement | None:
     return AlgebraElement(x, y, {b: 1})
 
 
-def _is_high(comp: Component, v: Weight) -> bool:
-    ups_left = sum(1 for (_, a, _b) in comp.arcs if v.mark(a) == UP)
-    return ups_left == len(comp.arcs) // 2 + 1
-
-
 # ---------------------------------------------------------------------------
 # cup orders
-
-
-def _cup_depth(mid: CupDiagram, cup: tuple[int, int]) -> int:
-    return sum(1 for other in mid.cups if other[0] < cup[0] and cup[1] < other[1])
 
 
 @lru_cache(maxsize=1024)
 def canonical_order(mid: CupDiagram) -> tuple[tuple[int, int], ...]:
     """Outermost cups first; left to right among incomparable ones."""
-    return tuple(sorted(mid.cups, key=lambda c: (_cup_depth(mid, c), c[0])))
+    depths = _cup_depths(mid)
+    return tuple(sorted(mid.cups, key=lambda c: (depths[c], c[0])))
 
 
 def cup_orders(mid: CupDiagram):
@@ -224,8 +212,9 @@ def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...]:
 # Layer 0 holds the first factor (cups of m(x), caps of m(y)), layer 1 the
 # second (cups of m(y), caps of m(z)); column c of layer h is node 2c + h.
 # No node meets more than two edges, so a component is a path (a line,
-# ending in rays) or a cycle (a circle).  Arcs flip the mark along a
-# component, the vertical strands left by the surgeries keep it.
+# ending in rays) or a cycle (a circle).  Arcs join columns of opposite
+# parity and flip the mark, the vertical strands left by the surgeries keep
+# both, so along a component the mark flips exactly with the column parity.
 
 # arc bands, bottom to top: cups of m(x), caps of m(y), cups of m(y), caps of m(z)
 _B_CUP_X, _B_CAP_MID, _B_CUP_MID, _B_CAP_Z = 0, 1, 2, 3
@@ -241,10 +230,10 @@ class _CompiledMovie(NamedTuple):
 
     Components have int ids, and a label set is a bitmask with bit ``id``
     set for each circle carrying X.  ``factor_circles`` lists, for the
-    bottom and the top factor, (bit, leftmost point, mark there in the
-    high orientation) per circle of its diagram.  ``zero`` is set when a
-    line reconnects through a clockwise or mismatched arc, which kills
-    every product.  ``parity`` is that of the sum of left ends over the
+    bottom and the top factor, (bit, leftmost point) per circle of its
+    diagram; a circle carries X when its leftmost point is up.  ``zero``
+    is set when a line reconnects through a clockwise or mismatched arc,
+    which kills every product.  ``parity`` is that of the sum of left ends over the
     splitting and pinching cups.  ``outputs`` maps each label set of the
     final circles to the basis element it orients and the parity of the
     leftmost points of its X circles.
@@ -293,21 +282,20 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
     forced.update({2 * r + 1: z.mark(r) for r in mz.rays})
     stubs = {2 * r + h for r in my.rays for h in (0, 1)}  # open until joined
     owner = [-1] * size
-    comps: list[tuple[dict[int, int], bool]] = []  # per id: node parities, is a line
+    comps: list[tuple[set[int], bool]] = []  # per id: nodes, is a line
 
     def register(start: int) -> int:
-        parity = {start: 0}
+        nodes = {start}
         stack = [start]
         while stack:
-            v = stack.pop()
-            for w, band in adj[v]:
-                if w not in parity:
-                    parity[w] = parity[v] ^ (band != _STRAND)
+            for w, _ in adj[stack.pop()]:
+                if w not in nodes:
+                    nodes.add(w)
                     stack.append(w)
         cid = len(comps)
-        for v in parity:
+        for v in nodes:
             owner[v] = cid
-        comps.append((parity, any(v in forced or v in stubs for v in parity)))
+        comps.append((nodes, any(v in forced or v in stubs for v in nodes)))
         return cid
 
     def arcs_of(cid: int) -> list[tuple[int, int, int]]:
@@ -315,41 +303,25 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
                 for w, band in adj[v] if band != _STRAND and v < w]
 
     def line_marks(cid: int) -> dict[int, str]:
-        """Marks on a line, walked from its bottom-layer, leftmost ray end."""
-        parity = comps[cid][0]
-        start = min((u for u in parity if u in forced), key=lambda u: (u & 1, u))
+        """Marks on a line, read off its bottom-layer, leftmost ray end."""
+        start = min((u for u in comps[cid][0] if u in forced), key=lambda u: (u & 1, u))
         same = forced[start]
         other = UP if same == DOWN else DOWN
-        return {v: same if p == parity[start] else other for v, p in parity.items()}
+        # bit 1 of a node is the parity of its column
+        return {v: other if (v ^ start) & 2 else same for v in comps[cid][0]}
 
-    def high_marks(cid: int) -> dict[int, str]:
-        """{column: mark} of the high orientation of a circle."""
-        parity = comps[cid][0]
-        level = next(iter(parity)) & 1
-        cols = sorted(v >> 1 for v in parity if v & 1 == level)
-        seed = parity[2 * cols[0] + level]
-        marks = {c: DOWN if parity[2 * c + level] == seed else UP for c in cols}
-        arcs = arcs_of(cid)
-        if sum(1 for _, a, _b in arcs if marks[a] == UP) != len(arcs) // 2 + 1:
-            marks = {c: UP if m == DOWN else DOWN for c, m in marks.items()}
-        return marks
-
-    def circles() -> list[tuple[int, int, dict[int, str]]]:
-        """(id, leftmost point, high marks) of the current circles."""
-        out = []
-        for cid in sorted(set(owner[2:])):
-            if not comps[cid][1]:
-                marks = high_marks(cid)
-                out.append((cid, min(marks), marks))
-        return out
+    def circles() -> list[tuple[int, list[int]]]:
+        """(id, sorted columns) of the current circles."""
+        return [(cid, sorted({v >> 1 for v in comps[cid][0]}))
+                for cid in sorted(set(owner[2:])) if not comps[cid][1]]
 
     for v in range(2, size):
         if owner[v] < 0:
             register(v)
     factor_circles: tuple[list, list] = ([], [])
-    for cid, leftmost, marks in circles():
+    for cid, cols in circles():
         layer = next(iter(comps[cid][0])) & 1
-        factor_circles[layer].append((1 << cid, leftmost, marks[leftmost]))
+        factor_circles[layer].append((1 << cid, cols[0]))
 
     events: list[tuple] = []
     for r in my.rays:
@@ -421,12 +393,13 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
         final = circles()
         for chosen in itertools.product((False, True), repeat=len(final)):
             labels = flips = 0
-            for (cid, leftmost, high), on in zip(final, chosen):
-                for c, m in high.items():
-                    marks[c] = m if on else (UP if m == DOWN else DOWN)
+            for (cid, cols), on in zip(final, chosen):
+                # X (high) is up at the leftmost column, 1 (low) down there
+                for c in cols:
+                    marks[c] = UP if on == ((c - cols[0]) % 2 == 0) else DOWN
                 if on:
                     labels |= 1 << cid
-                    flips += leftmost
+                    flips += cols[0]
             orient = Weight("".join(marks[1:]))
             outputs[labels] = (BasisElement(x, z, orient), flips % 2)
     return _CompiledMovie(zero, tuple(map(tuple, factor_circles)), tuple(events),
@@ -521,8 +494,8 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
         m = _MODES[mode]
         labels = flips = 0
         for b, circles in zip((ba, bb), movie.factor_circles):
-            for bit, leftmost, high in circles:
-                if b.orient.marks[leftmost - 1] == high:
+            for bit, leftmost in circles:
+                if b.orient.marks[leftmost - 1] == UP:
                     labels |= bit
                     flips += leftmost
         coeff = -1 if m == 1 and flips % 2 else 1
@@ -545,15 +518,24 @@ def clear_caches() -> None:
         memo.cache_clear()
 
 
+def _expand(terms: dict, product) -> dict[BasisElement, int]:
+    """Sum of coeff * product(t) over ``terms`` = {t: coeff}, zeros dropped.
+
+    ``product(t)`` returns {basis element: coeff}.
+    """
+    out: dict[BasisElement, int] = {}
+    for t, coeff in terms.items():
+        for b, c in product(t).items():
+            out[b] = out.get(b, 0) + coeff * c
+    return {b: c for b, c in out.items() if c}
+
+
 def _compose(a: AlgebraElement, b: AlgebraElement, mode: str, order) -> AlgebraElement:
     if a.tgt != b.src:
         raise CompositionError(f"cannot compose {a.src}->{a.tgt} with {b.src}->{b.tgt}")
     cup_order = _validate_order(weight_to_m(a.tgt), order)
-    out = zero(a.src, b.tgt)
-    for ba, ca in a.terms.items():
-        for bb, cb in b.terms.items():
-            out = out + _multiply_basis(ba, bb, mode, cup_order).scale(ca * cb)
-    return out
+    return AlgebraElement(a.src, b.tgt, _expand(a.terms, lambda ba: _expand(
+        b.terms, lambda bb: _multiply_basis(ba, bb, mode, cup_order).terms)))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement, alpha: int = 1, order=None) -> AlgebraElement:
@@ -638,22 +620,37 @@ def algebra_basis(shape: Shape, standard_only: bool = False) -> tuple[tuple[Weig
     return weights, tuple(els)
 
 
+def _composable(els: tuple[BasisElement, ...], length: int = 2):
+    """Every chain of ``length`` basis elements, each one's target the next one's source.
+
+    Chains come in basis order of their first element, then of their
+    second, and so on.
+    """
+    by_src: dict[Weight, list[BasisElement]] = {}
+    for b in els:
+        by_src.setdefault(b.src, []).append(b)
+    chains = ((a,) for a in els)
+    for _ in range(length - 1):
+        chains = (chain + (b,) for chain in chains for b in by_src.get(chain[-1].tgt, ()))
+    return chains
+
+
+def _canonical_product(a: BasisElement, b: BasisElement, mode: str) -> AlgebraElement:
+    return _multiply_basis(a, b, mode, canonical_order(weight_to_m(a.tgt)))
+
+
 def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
                     mode: str | None = None) -> StructureTable:
     """All pairwise products of basis elements (zero/uncomposable pairs omitted)."""
     weights, els = algebra_basis(shape, standard_only)
     index = {b: i for i, b in enumerate(els)}
     the_mode = mode or ("plus" if alpha == 1 else "minus")
-    by_src: dict[Weight, list[tuple[int, BasisElement]]] = {}
-    for j, bj in enumerate(els):
-        by_src.setdefault(bj.src, []).append((j, bj))
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for i, bi in enumerate(els):
-        order = canonical_order(weight_to_m(bi.tgt))
-        for j, bj in by_src.get(bi.tgt, ()):
-            prod = _multiply_basis(bi, bj, the_mode, order)
-            if prod.terms:
-                products[(i, j)] = tuple(sorted((index[b], c) for b, c in prod.terms.items()))
+    for a, b in _composable(els):
+        prod = _canonical_product(a, b, the_mode)
+        if prod.terms:
+            products[(index[a], index[b])] = tuple(sorted((index[t], c)
+                                                          for t, c in prod.terms.items()))
     return StructureTable(shape, alpha, weights, els, products)
 
 
@@ -670,67 +667,48 @@ def check_associativity(shape: Shape, alpha: int = 1) -> CheckResult:
     """(a*b)*c == a*(b*c) over every composable basis triple."""
     mode = "plus" if alpha == 1 else "minus"
     _, els = algebra_basis(shape)
-    by_src: dict[Weight, list[BasisElement]] = {}
-    for b in els:
-        by_src.setdefault(b.src, []).append(b)
 
-    def prod(p: BasisElement, q: BasisElement) -> AlgebraElement:
-        return _multiply_basis(p, q, mode, canonical_order(weight_to_m(p.tgt)))
+    def prod(p: BasisElement, q: BasisElement) -> dict[BasisElement, int]:
+        return _canonical_product(p, q, mode).terms
 
-    for a in els:
-        for b in by_src.get(a.tgt, ()):
-            ab = prod(a, b)
-            for c in by_src.get(b.tgt, ()):
-                left = zero(a.src, c.tgt)
-                for t, coeff in ab.terms.items():
-                    left = left + prod(t, c).scale(coeff)
-                bc = prod(b, c)
-                right = zero(a.src, c.tgt)
-                for t, coeff in bc.terms.items():
-                    right = right + prod(a, t).scale(coeff)
-                if left != right:
-                    return CheckResult(False,
-                                       f"a={a} b={b} c={c}: (ab)c={left.x_form()} "
-                                       f"!= a(bc)={right.x_form()}")
+    for (a, b), triples in itertools.groupby(_composable(els, 3), key=lambda t: t[:2]):
+        ab = prod(a, b)
+        for *_, c in triples:
+            left = _expand(ab, lambda t: prod(t, c))
+            right = _expand(prod(b, c), lambda t: prod(a, t))
+            if left != right:
+                return CheckResult(False,
+                                   f"a={a} b={b} c={c}: "
+                                   f"(ab)c={AlgebraElement(a.src, c.tgt, left).x_form()} "
+                                   f"!= a(bc)={AlgebraElement(a.src, c.tgt, right).x_form()}")
     return CheckResult(True)
 
 
 def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
     """Products agree across every nesting-compatible cup order."""
     mode = "plus" if alpha == 1 else "minus"
-    _, els = algebra_basis(shape)
-    by_src: dict[Weight, list[BasisElement]] = {}
-    for b in els:
-        by_src.setdefault(b.src, []).append(b)
-    for a in els:
-        mid = weight_to_m(a.tgt)
-        orders = list(cup_orders(mid))
-        if len(orders) <= 1:
-            continue
-        for b in by_src.get(a.tgt, ()):
-            ref = _multiply_basis(a, b, mode, orders[0])
-            for order in orders[1:]:
-                alt = _multiply_basis(a, b, mode, order)
-                if alt != ref:
-                    return CheckResult(False, f"a={a} b={b} order={order}: "
-                                              f"{alt.x_form()} != {ref.x_form()}")
+    weights, els = algebra_basis(shape)
+    orders = {y: list(cup_orders(weight_to_m(y))) for y in weights}
+    for a, b in _composable(els):
+        ref, *alts = orders[a.tgt]
+        for order in alts:
+            got = _multiply_basis(a, b, mode, order)
+            want = _multiply_basis(a, b, mode, ref)
+            if got != want:
+                return CheckResult(False, f"a={a} b={b} order={order}: "
+                                          f"{got.x_form()} != {want.x_form()}")
     return CheckResult(True)
 
 
 def check_nested_agreement(shape: Shape) -> CheckResult:
     """multiply_nested agrees with multiply(alpha=-1) on every composable pair."""
     _, els = algebra_basis(shape)
-    by_src: dict[Weight, list[BasisElement]] = {}
-    for b in els:
-        by_src.setdefault(b.src, []).append(b)
-    for a in els:
-        order = canonical_order(weight_to_m(a.tgt))
-        for b in by_src.get(a.tgt, ()):
-            lhs = _multiply_basis(a, b, "nested", order)
-            rhs = _multiply_basis(a, b, "minus", order)
-            if lhs != rhs:
-                return CheckResult(False, f"a={a} b={b}: nested {lhs.x_form()} "
-                                          f"!= alpha=-1 {rhs.x_form()}")
+    for a, b in _composable(els):
+        lhs = _canonical_product(a, b, "nested")
+        rhs = _canonical_product(a, b, "minus")
+        if lhs != rhs:
+            return CheckResult(False, f"a={a} b={b}: nested {lhs.x_form()} "
+                                      f"!= alpha=-1 {rhs.x_form()}")
     return CheckResult(True)
 
 
@@ -738,18 +716,12 @@ def check_degree_additivity(shape: Shape, alpha: int = 1) -> CheckResult:
     """Nonzero products sit in degree deg(a) + deg(b)."""
     mode = "plus" if alpha == 1 else "minus"
     _, els = algebra_basis(shape)
-    by_src: dict[Weight, list[BasisElement]] = {}
-    for b in els:
-        by_src.setdefault(b.src, []).append(b)
-    for a in els:
-        order = canonical_order(weight_to_m(a.tgt))
-        for b in by_src.get(a.tgt, ()):
-            prod = _multiply_basis(a, b, mode, order)
-            want = degree(a) + degree(b)
-            for t in prod.terms:
-                if degree(t) != want:
-                    return CheckResult(False, f"a={a} b={b} term={t}: "
-                                              f"degree {degree(t)} != {want}")
+    for a, b in _composable(els):
+        want = degree(a) + degree(b)
+        for t in _canonical_product(a, b, mode).terms:
+            if degree(t) != want:
+                return CheckResult(False, f"a={a} b={b} term={t}: "
+                                          f"degree {degree(t)} != {want}")
     return CheckResult(True)
 
 

@@ -25,8 +25,11 @@ def _shape(args) -> Shape:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text + "\n")
 

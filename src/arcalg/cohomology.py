@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import _linalg
 from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, StandardTableau,
-                       ValidationError, Weight, epsilon, equivalence, glue,
+                       ValidationError, Weight, epsilon, glue,
                        orientation_degree, orientations, tableau_to_cup,
                        weight_to_m)
 
@@ -190,13 +190,13 @@ def intersection_cohomology(w: Weight, wp: Weight) -> tuple[RingPresentation, Pu
     z = intersection_diagram(w, wp)
     if not orientations(z, w, wp):
         return None
-    eq = equivalence(weight_to_m(w), weight_to_m(wp))
-    gens = eq.circle_reps
-    images: list[tuple[tuple[int, int], ...]] = []
-    for i in range(1, w.n + 1):
-        row = [(g, epsilon(z, i, g)) for g in gens if epsilon(z, i, g) != 0]
-        images.append(tuple(row))
-    return RingPresentation(gens), PullbackMap(w.n, tuple(images))
+    circles = z.circles()
+    images: list[tuple[tuple[int, int], ...]] = [()] * w.n
+    for comp in circles:
+        for i in comp.vertices:
+            images[i - 1] = ((comp.leftmost, epsilon(z, i, comp.leftmost)),)
+    return (RingPresentation(tuple(c.leftmost for c in circles)),
+            PullbackMap(w.n, tuple(images)))
 
 
 def intrinsic_min_degree(w: Weight, wp: Weight) -> int | None:

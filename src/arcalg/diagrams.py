@@ -490,52 +490,31 @@ def orientations(z: CircleDiagram, w_bottom: Weight, w_top: Weight) -> list[Weig
     Rays of the bottom diagram must carry w_bottom's marks, rays of the
     top diagram w_top's.  The count is 0 (some line is inconsistent), 1
     (no circles), or 2**circles.
+
+    Every arc joins points of opposite parity, so along a component the
+    mark flips exactly when the point's parity does: an orientation of a
+    component is fixed by whether its odd points carry an up.  A line's
+    rays force that choice (or contradict each other); a circle has both.
     """
     if w_bottom.n != z.n or w_top.n != z.n:
         raise ValidationError("weight length does not match diagram")
-    forced: dict[int, str] = {}
-    for c in z.components:
-        for r in c.bottom_rays:
-            forced[r] = w_bottom.mark(r)
-        for r in c.top_rays:
-            forced[r] = w_top.mark(r)
-
-    def solve(comp: Component, seed_mark: str) -> dict[int, str] | None:
-        marks = {comp.leftmost: seed_mark}
-        frontier = [comp.leftmost]
-        while frontier:
-            v = frontier.pop()
-            for kind, a, b in comp.arcs:
-                if v in (a, b):
-                    other = a if v == b else b
-                    want = UP if marks[v] == DOWN else DOWN
-                    if other in marks:
-                        if marks[other] != want:
-                            return None
-                    else:
-                        marks[other] = want
-                        frontier.append(other)
-        for v, mk in marks.items():
-            if v in forced and forced[v] != mk:
-                return None
-        return marks
-
-    per_comp: list[list[dict[int, str]]] = []
+    per_comp: list[tuple[bool, ...]] = []
     for comp in z.components:
-        options = [s for s in (solve(comp, UP), solve(comp, DOWN)) if s is not None]
-        if comp.kind == LINE:
-            # the forced ray marks leave at most one propagation alive
-            if not options:
-                return []
-            if len(options) > 1:
-                raise RuntimeError(f"line {comp.vertices} carries no forced ray mark")
-        per_comp.append(options)
+        if comp.kind == CIRCLE:
+            per_comp.append((False, True))
+            continue
+        odd_up = {(w.mark(r) == UP) == (r % 2 == 1)
+                  for rays, w in ((comp.bottom_rays, w_bottom), (comp.top_rays, w_top))
+                  for r in rays}
+        if len(odd_up) > 1:
+            return []
+        per_comp.append(tuple(odd_up))
     out = []
     for choice in itertools.product(*per_comp):
         marks = [UP] * z.n
-        for sol in choice:
-            for v, mk in sol.items():
-                marks[v - 1] = mk
+        for comp, odd_up in zip(z.components, choice):
+            for v in comp.vertices:
+                marks[v - 1] = UP if (v % 2 == 1) == odd_up else DOWN
         out.append(Weight("".join(marks)))
     out.sort(key=weight_sort_key)
     return out
@@ -548,22 +527,15 @@ def orientation_degree(z: CircleDiagram, v: Weight) -> int:
 
 
 def epsilon(z: CircleDiagram, i: int, j: int) -> int:
-    """0 unless i, j share a circle; else (-1)**(arc path length between them)."""
+    """0 unless i, j share a circle; else (-1)**(arc path length between them).
+
+    Every arc joins points of opposite parity, so every path from i to j
+    has the parity of i + j.
+    """
     comp_i = z.component_of(i)
     if comp_i.kind != CIRCLE or j not in comp_i.vertices:
         return 0
-    # BFS over arcs; path parity is well defined because circles have even length
-    dist = {i: 0}
-    frontier = [i]
-    while frontier:
-        v = frontier.pop()
-        for _, a, b in comp_i.arcs:
-            if v in (a, b):
-                other = a if v == b else b
-                if other not in dist:
-                    dist[other] = dist[v] + 1
-                    frontier.append(other)
-    return -1 if dist[j] % 2 else 1
+    return (-1) ** (i + j)
 
 
 # ---------------------------------------------------------------------------
@@ -666,53 +638,37 @@ def equivalence(c: CupDiagram, d: CupDiagram) -> EquivalenceData:
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_cup(c: CupDiagram, marks: Weight | None = None) -> str:
-    """ASCII picture: a dot row, cups as bracket arcs beneath, rays as bars."""
-    width = 2 * c.n - 1
+def _cup_depths(c: CupDiagram) -> dict[tuple[int, int], int]:
+    """Number of cups of c properly containing each of its cups."""
+    return {cup: sum(1 for other in c.cups if c.contains_cup(other, cup)) for cup in c.cups}
+
+
+def _arc_rows(c: CupDiagram, left: str, right: str, min_rows: int = 0) -> list[str]:
+    """Row d holds the cups of nesting depth d; rays are bars through every row."""
     col = lambda i: 2 * (i - 1)
-    head = [" "] * width
-    for i in range(1, c.n + 1):
-        head[col(i)] = "." if marks is None else marks.mark(i)
-    depth_of = {}
-    for cup in c.cups:
-        depth_of[cup] = sum(1 for other in c.cups if other[0] < cup[0] and cup[1] < other[1])
-    rows = max(list(depth_of.values()) + [-1]) + 1
-    grid = [[" "] * width for _ in range(rows)]
-    for (a, b), dep in depth_of.items():
-        grid[dep][col(a)] = "\\"
-        grid[dep][col(b)] = "/"
+    depths = _cup_depths(c)
+    rows = max(max(depths.values(), default=-1) + 1, min_rows)
+    grid = [[" "] * (2 * c.n - 1) for _ in range(rows)]
+    for (a, b), dep in depths.items():
+        grid[dep][col(a)] = left
+        grid[dep][col(b)] = right
         for x in range(col(a) + 1, col(b)):
             grid[dep][x] = "_"
-    if not grid and c.rays:
-        grid = [[" "] * width]
     for r in c.rays:
         for row in grid:
             if row[col(r)] == " ":
                 row[col(r)] = "|"
-    lines = ["".join(head)] + ["".join(row) for row in grid]
+    return ["".join(row) for row in grid]
+
+
+def render_cup(c: CupDiagram, marks: Weight | None = None) -> str:
+    """ASCII picture: a dot row, cups as bracket arcs beneath, rays as bars."""
+    head = " ".join("." if marks is None else marks.mark(i) for i in range(1, c.n + 1))
+    lines = [head] + _arc_rows(c, "\\", "/", min_rows=1 if c.rays else 0)
     return "\n".join(line.rstrip() for line in lines if line.strip() or line is lines[0])
 
 
 def render_circle_diagram(z: CircleDiagram, marks: Weight | None = None) -> str:
     """Caps mirrored above the dot row, cups below."""
-    width = 2 * z.n - 1
-    col = lambda i: 2 * (i - 1)
-    top = z.top
-    depth_of = {}
-    for cup in top.cups:
-        depth_of[cup] = sum(1 for other in top.cups if other[0] < cup[0] and cup[1] < other[1])
-    rows = max(list(depth_of.values()) + [-1]) + 1
-    grid = [[" "] * width for _ in range(rows)]
-    for (a, b), dep in depth_of.items():
-        grid[dep][col(a)] = "/"
-        grid[dep][col(b)] = "\\"
-        for x in range(col(a) + 1, col(b)):
-            grid[dep][x] = "_"
-    for r in top.rays:
-        for row in grid:
-            if row[col(r)] == " ":
-                row[col(r)] = "|"
-    cap_lines = ["".join(row) for row in reversed(grid)]
-    bottom_part = render_cup(z.bottom, marks)
-    return "\n".join(line.rstrip() for line in cap_lines if line.strip()) + \
-        ("\n" if cap_lines and any(l.strip() for l in cap_lines) else "") + bottom_part
+    caps = [line.rstrip() for line in reversed(_arc_rows(z.top, "/", "\\")) if line.strip()]
+    return "".join(line + "\n" for line in caps) + render_cup(z.bottom, marks)

@@ -96,6 +96,27 @@ def component_census_oracle(w_bottom: Weight, w_top: Weight) -> list[tuple[str, 
     return sorted(out, key=lambda t: t[1][0])
 
 
+def circle_sign_oracle(w_bottom: Weight, w_top: Weight) -> dict[tuple[int, int], int]:
+    """(-1)**(shortest arc path from i to j) for all points i, j on one circle.
+
+    The glued diagram is a networkx graph on the points with one edge per
+    cup of m(w_bottom) and of m(w_top); a component with no ray is a circle.
+    """
+    bottom, top = weight_to_m(w_bottom), weight_to_m(w_top)
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(1, bottom.n + 1))
+    g.add_edges_from(list(bottom.cups) + list(top.cups))
+    rays = set(bottom.rays) | set(top.rays)
+    out = {}
+    for comp in nx.connected_components(g):
+        if comp & rays:
+            continue
+        for i, dist in nx.all_pairs_shortest_path_length(g.subgraph(comp)):
+            for j, d in dist.items():
+                out[(i, j)] = (-1) ** d
+    return out
+
+
 # ---------------------------------------------------------------------------
 # direct label-TQFT product (the alpha = +1 oracle): networkx multigraph,
 # rays joined up front, cups processed left to right

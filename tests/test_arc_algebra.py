@@ -13,7 +13,7 @@ from arcalg.arc_algebra import (AlgebraElement, CompositionError,
 from arcalg.cohomology import intersection_diagram
 from arcalg.diagrams import (Shape, Weight, enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
-from oracles import direct_product_oracle
+from oracles import _is_high, direct_product_oracle
 
 W = Weight.parse
 NXT = W("v^v^")
@@ -39,6 +39,18 @@ def test_idempotent_degree_zero():
         e = idempotent(w)
         (b,) = e.terms
         assert degree(b) == 0 and b.orient == w
+
+
+def test_x_form_names_the_high_circles():
+    for n in range(1, 8):
+        for k in range(n // 2 + 1):
+            ws = weights_of(n, k)
+            for x, y in itertools.product(ws, repeat=2):
+                for b in basis(x, y):
+                    high = [f"x{c.leftmost}" for c in b.diagram().circles()
+                            if _is_high(c, b.orient)]
+                    assert AlgebraElement(x, y, {b: 1}).x_form() == ("*".join(high) or "1")
+    arc_algebra.clear_caches()
 
 
 def test_single_circle_degrees():
@@ -196,6 +208,16 @@ def test_associativity_minus_fails_at_4_2():
     res = check_associativity(Shape(4, 2), -1)
     assert not res.ok
     assert "!=" in res.witness
+
+
+def test_associativity_witness_is_the_first_failing_triple():
+    # triples are visited in basis order of a, then b, then c
+    assert check_associativity(Shape(4, 2), -1).witness == (
+        "a=[v^v^|vv^^|v^v^] b=[vv^^|v^v^|v^v^] c=[v^v^|vv^^|v^v^]: "
+        "(ab)c=- 2*x1 != a(bc)=2*x1")
+    assert check_associativity(Shape(5, 2), -1).witness == (
+        "a=[^v^v^|^vv^^|^v^v^] b=[^vv^^|^v^v^|^v^v^] c=[^v^v^|^vv^^|^v^v^]: "
+        "(ab)c=- 2*x2 != a(bc)=2*x2")
 
 
 def test_associativity_minus_passes_at_2_1():

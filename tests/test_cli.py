@@ -116,3 +116,10 @@ def test_deterministic_output(capsys, tmp_path):
                      "--format", "json", "--out", str(f)])
         assert code == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_unwritable_out_path_is_a_clean_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "f.txt"
+    code, out, err = run(capsys, "enumerate", "--n", "2", "--k", "1", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"

@@ -9,7 +9,7 @@ from arcalg.cohomology import (GradedDim, component_cohomology,
                                odd_normalization, poincare,
                                pullback_is_surjective, stable_cohomology)
 from arcalg.diagrams import (Shape, StandardTableau, Weight, enumerate_standard,
-                             enumerate_weights, orientations,
+                             enumerate_weights, epsilon, equivalence, orientations,
                              weight_of_tableau, weight_to_m)
 
 W = Weight.parse
@@ -174,3 +174,21 @@ def test_empty_iff_no_orientation(nk, data):
     b = data.draw(st.sampled_from(ws))
     z = intersection_diagram(a, b)
     assert (intersection_cohomology(a, b) is None) == (not orientations(z, a, b))
+
+
+def test_intersection_generators_are_the_circle_representatives():
+    # reference: generators from the equivalence classes, each x_i sent to
+    # every generator it has a nonzero epsilon with
+    for shape in all_shapes(8):
+        ws = weights_of(shape.n, shape.k)
+        for a, b in itertools.product(ws, repeat=2):
+            res = intersection_cohomology(a, b)
+            if res is None:
+                continue
+            pres, pb = res
+            gens = equivalence(weight_to_m(a), weight_to_m(b)).circle_reps
+            assert pres.generators == gens
+            z = intersection_diagram(a, b)
+            for i in range(1, shape.n + 1):
+                assert pb.image(i) == tuple((g, epsilon(z, i, g)) for g in gens
+                                            if epsilon(z, i, g))

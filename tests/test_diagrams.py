@@ -12,7 +12,8 @@ from arcalg.diagrams import (CupDiagram, Shape, StandardTableau, ValidationError
                              orients_with_rays, render_cup, tableau_of_weight,
                              tableau_to_cup, weight_of_tableau, weight_to_C,
                              weight_to_m)
-from oracles import component_census_oracle, orientation_set_oracle
+from oracles import (circle_sign_oracle, component_census_oracle,
+                     orientation_set_oracle)
 
 W = Weight.parse
 
@@ -224,6 +225,27 @@ def test_orientation_law_and_oracle_small():
             assert {str(v) for v in vs} == orientation_set_oracle(a, b)
 
 
+def test_orientations_of_mixed_shape_pairs_match_oracle():
+    # a point that is a ray of both diagrams must carry both weights' marks
+    for n in range(1, 7):
+        ws = [w for k in range(n // 2 + 1) for w in weights_of(n, k)]
+        for a, b in itertools.product(ws, repeat=2):
+            if a.k != b.k:
+                vs = orientations(glue(weight_to_m(b), weight_to_m(a)), a, b)
+                assert {str(v) for v in vs} == orientation_set_oracle(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(n, k) for n in range(9, 13) for k in range(n // 2 + 1)]),
+       st.data())
+def test_orientations_match_oracle_beyond_the_exhaustive_range(nk, data):
+    ws = weights_of(*nk)
+    a = data.draw(st.sampled_from(ws))
+    b = data.draw(st.sampled_from(ws))
+    vs = orientations(glue(weight_to_m(b), weight_to_m(a)), a, b)
+    assert {str(v) for v in vs} == orientation_set_oracle(a, b)
+
+
 def test_glue_census_examples():
     nested = tableau_to_cup(StandardTableau((4, 3), (2, 1)))
     nxt = tableau_to_cup(StandardTableau((4, 2), (3, 1)))
@@ -276,6 +298,16 @@ def test_epsilon_path_independence():
                     e = epsilon(z, i, j)
                     assert e == (-1) ** (i + j)
                 assert arcs % 2 == 0
+
+
+def test_epsilon_matches_shortest_arc_paths():
+    for shape in all_shapes(8):
+        ws = weights_of(shape.n, shape.k)
+        for a, b in itertools.product(ws, repeat=2):
+            z = glue(weight_to_m(b), weight_to_m(a))
+            want = circle_sign_oracle(a, b)
+            for i, j in itertools.product(range(1, shape.n + 1), repeat=2):
+                assert epsilon(z, i, j) == want.get((i, j), 0)
 
 
 def test_epsilon_zero_cases():
