@@ -9,17 +9,22 @@ ASCII diagrams, and `k0_*.csv` for the balanced shapes.
 """
 import argparse
 import pathlib
+import sys
 
 from arcalg.arc_algebra import structure_table
 from arcalg.diagrams import Shape
 from arcalg.ktheory import k0_matrix
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--max-n", type=int, default=6)
     args = parser.parse_args()
+    if args.max_n < 2:
+        print(f"error: --max-n {args.max_n} exports no shape; it must be at least 2",
+              file=sys.stderr)
+        return 1
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -36,7 +41,8 @@ def main() -> None:
                 (out / f"k0_n{n}_k{k}.csv").write_text(mat.to_csv() + "\n")
                 (out / f"k0_n{n}_k{k}.json").write_text(mat.to_json() + "\n")
             print(f"wrote shape ({n},{k})")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

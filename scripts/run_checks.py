@@ -2,7 +2,8 @@
 """Desk-scale verification report.
 
 Runs the exhaustive algebra checks over a range of shapes and prints one
-line per (shape, check).  Exit code 2 if anything unexpected fails.
+line per (shape, check).  Exit code 2 if anything unexpected fails, 1 if
+--max-n is below 2.
 
 Usage:
     python scripts/run_checks.py [--max-n 6]
@@ -21,6 +22,10 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-n", type=int, default=6)
     args = parser.parse_args()
+    if args.max_n < 2:
+        print(f"error: --max-n {args.max_n} checks no shape; it must be at least 2",
+              file=sys.stderr)
+        return 1
 
     shapes = [Shape(n, k) for n in range(2, args.max_n + 1)
               for k in range(1, n // 2 + 1)]

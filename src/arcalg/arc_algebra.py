@@ -107,22 +107,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if (self.src, self.tgt) != (other.src, other.tgt):
-            raise ValidationError("cannot add elements of different Hom spaces")
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            out[b] = out.get(b, 0) + c
-        return AlgebraElement(self.src, self.tgt, out)
-
-    def scale(self, c: int) -> "AlgebraElement":
-        return AlgebraElement(self.src, self.tgt, {b: c * v for b, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (self.src, self.tgt, self.terms) == (other.src, other.tgt, other.terms)
-
     def x_form(self) -> str:
         """Render as a polynomial in the leftmost-point generators."""
         if not self.terms:
@@ -467,9 +451,6 @@ def _fold(events: tuple, m: int, terms: dict[int, int]) -> dict[int, int]:
 # public products
 
 
-_PRODUCT_CACHE: dict = {}
-
-
 def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
                     cup_order: tuple[tuple[int, int], ...]) -> AlgebraElement:
     """Product of two basis elements through the compiled movie.
@@ -483,10 +464,6 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
     every canonical-order value and every order of the handle-free
     products is left untouched.
     """
-    key = (ba, bb, mode, cup_order)
-    hit = _PRODUCT_CACHE.get(key)
-    if hit is not None:
-        return hit
     x, y, z = ba.src, ba.tgt, bb.tgt
     movie = _compile_movie(x, y, z, cup_order)
     out: dict[BasisElement, int] = {}
@@ -506,24 +483,21 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
         for labels, c in _fold(movie.events, m, {labels: coeff}).items():
             b, flips = movie.outputs[labels]
             out[b] = -c if m == 1 and flips else c  # z -> leftmost-x dictionary
-    result = AlgebraElement(x, z, out)
-    _PRODUCT_CACHE[key] = result
-    return result
+    return AlgebraElement(x, z, out)
 
 
 def clear_caches() -> None:
-    """Empty the product memo, the compiled movies and the diagram memos."""
-    _PRODUCT_CACHE.clear()
+    """Empty the compiled movies and the diagram memos."""
     for memo in (_compile_movie, basis, diagram_of, weight_to_m, canonical_order):
         memo.cache_clear()
 
 
-def _expand(terms: dict, product) -> dict[BasisElement, int]:
+def _expand(terms: dict, product) -> dict:
     """Sum of coeff * product(t) over ``terms`` = {t: coeff}, zeros dropped.
 
-    ``product(t)`` returns {basis element: coeff}.
+    ``product(t)`` returns {basis element or its index: coeff}.
     """
-    out: dict[BasisElement, int] = {}
+    out: dict = {}
     for t, coeff in terms.items():
         for b, c in product(t).items():
             out[b] = out.get(b, 0) + coeff * c
@@ -621,22 +595,18 @@ def algebra_basis(shape: Shape, standard_only: bool = False) -> tuple[tuple[Weig
 
 
 def _composable(els: tuple[BasisElement, ...], length: int = 2):
-    """Every chain of ``length`` basis elements, each one's target the next one's source.
+    """Every chain of ``length`` indices into ``els``, each target the next source.
 
     Chains come in basis order of their first element, then of their
     second, and so on.
     """
-    by_src: dict[Weight, list[BasisElement]] = {}
-    for b in els:
-        by_src.setdefault(b.src, []).append(b)
-    chains = ((a,) for a in els)
+    by_src: dict[Weight, list[int]] = {}
+    for i, b in enumerate(els):
+        by_src.setdefault(b.src, []).append(i)
+    chains = ((i,) for i in range(len(els)))
     for _ in range(length - 1):
-        chains = (chain + (b,) for chain in chains for b in by_src.get(chain[-1].tgt, ()))
+        chains = (chain + (j,) for chain in chains for j in by_src.get(els[chain[-1]].tgt, ()))
     return chains
-
-
-def _canonical_product(a: BasisElement, b: BasisElement, mode: str) -> AlgebraElement:
-    return _multiply_basis(a, b, mode, canonical_order(weight_to_m(a.tgt)))
 
 
 def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
@@ -646,11 +616,11 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
     index = {b: i for i, b in enumerate(els)}
     the_mode = mode or ("plus" if alpha == 1 else "minus")
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for a, b in _composable(els):
-        prod = _canonical_product(a, b, the_mode)
+    for i, j in _composable(els):
+        a, b = els[i], els[j]
+        prod = _multiply_basis(a, b, the_mode, canonical_order(weight_to_m(a.tgt)))
         if prod.terms:
-            products[(index[a], index[b])] = tuple(sorted((index[t], c)
-                                                          for t, c in prod.terms.items()))
+            products[(i, j)] = tuple(sorted((index[t], c) for t, c in prod.terms.items()))
     return StructureTable(shape, alpha, weights, els, products)
 
 
@@ -663,24 +633,31 @@ class CheckResult:
         return self.ok
 
 
+def _x_form(els: tuple[BasisElement, ...], src: Weight, tgt: Weight, terms) -> str:
+    """x-form of the element with ``terms`` = (index into ``els``, coeff) pairs."""
+    return AlgebraElement(src, tgt, {els[t]: c for t, c in terms}).x_form()
+
+
 def check_associativity(shape: Shape, alpha: int = 1) -> CheckResult:
     """(a*b)*c == a*(b*c) over every composable basis triple."""
-    mode = "plus" if alpha == 1 else "minus"
-    _, els = algebra_basis(shape)
+    table = structure_table(shape, alpha)
+    els = table.basis
+    products = {pair: dict(terms) for pair, terms in table.products.items()}
 
-    def prod(p: BasisElement, q: BasisElement) -> dict[BasisElement, int]:
-        return _canonical_product(p, q, mode).terms
+    def prod(p: int, q: int) -> dict[int, int]:
+        return products.get((p, q), {})
 
-    for (a, b), triples in itertools.groupby(_composable(els, 3), key=lambda t: t[:2]):
-        ab = prod(a, b)
-        for *_, c in triples:
-            left = _expand(ab, lambda t: prod(t, c))
-            right = _expand(prod(b, c), lambda t: prod(a, t))
+    for (i, j), triples in itertools.groupby(_composable(els, 3), key=lambda t: t[:2]):
+        ab = prod(i, j)
+        for *_, k in triples:
+            left = _expand(ab, lambda t: prod(t, k))
+            right = _expand(prod(j, k), lambda t: prod(i, t))
             if left != right:
+                a, b, c = els[i], els[j], els[k]
                 return CheckResult(False,
                                    f"a={a} b={b} c={c}: "
-                                   f"(ab)c={AlgebraElement(a.src, c.tgt, left).x_form()} "
-                                   f"!= a(bc)={AlgebraElement(a.src, c.tgt, right).x_form()}")
+                                   f"(ab)c={_x_form(els, a.src, c.tgt, left.items())} "
+                                   f"!= a(bc)={_x_form(els, a.src, c.tgt, right.items())}")
     return CheckResult(True)
 
 
@@ -689,11 +666,14 @@ def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
     mode = "plus" if alpha == 1 else "minus"
     weights, els = algebra_basis(shape)
     orders = {y: list(cup_orders(weight_to_m(y))) for y in weights}
-    for a, b in _composable(els):
+    for i, j in _composable(els):
+        a, b = els[i], els[j]
         ref, *alts = orders[a.tgt]
+        if not alts:
+            continue
+        want = _multiply_basis(a, b, mode, ref)
         for order in alts:
             got = _multiply_basis(a, b, mode, order)
-            want = _multiply_basis(a, b, mode, ref)
             if got != want:
                 return CheckResult(False, f"a={a} b={b} order={order}: "
                                           f"{got.x_form()} != {want.x_form()}")
@@ -702,26 +682,30 @@ def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
 
 def check_nested_agreement(shape: Shape) -> CheckResult:
     """multiply_nested agrees with multiply(alpha=-1) on every composable pair."""
-    _, els = algebra_basis(shape)
-    for a, b in _composable(els):
-        lhs = _canonical_product(a, b, "nested")
-        rhs = _canonical_product(a, b, "minus")
+    nested = structure_table(shape, -1, mode="nested")
+    minus = structure_table(shape, -1)
+    els = minus.basis
+    for i, j in _composable(els):
+        lhs, rhs = nested.products.get((i, j), ()), minus.products.get((i, j), ())
         if lhs != rhs:
-            return CheckResult(False, f"a={a} b={b}: nested {lhs.x_form()} "
-                                      f"!= alpha=-1 {rhs.x_form()}")
+            a, b = els[i], els[j]
+            return CheckResult(False, f"a={a} b={b}: "
+                                      f"nested {_x_form(els, a.src, b.tgt, lhs)} "
+                                      f"!= alpha=-1 {_x_form(els, a.src, b.tgt, rhs)}")
     return CheckResult(True)
 
 
 def check_degree_additivity(shape: Shape, alpha: int = 1) -> CheckResult:
     """Nonzero products sit in degree deg(a) + deg(b)."""
-    mode = "plus" if alpha == 1 else "minus"
-    _, els = algebra_basis(shape)
-    for a, b in _composable(els):
-        want = degree(a) + degree(b)
-        for t in _canonical_product(a, b, mode).terms:
-            if degree(t) != want:
-                return CheckResult(False, f"a={a} b={b} term={t}: "
-                                          f"degree {degree(t)} != {want}")
+    table = structure_table(shape, alpha)
+    els = table.basis
+    degrees = [degree(b) for b in els]
+    for (i, j), terms in table.products.items():  # in composable order
+        want = degrees[i] + degrees[j]
+        for t, _ in terms:
+            if degrees[t] != want:
+                return CheckResult(False, f"a={els[i]} b={els[j]} term={els[t]}: "
+                                          f"degree {degrees[t]} != {want}")
     return CheckResult(True)
 
 

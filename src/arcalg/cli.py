@@ -4,8 +4,8 @@ Subcommands: enumerate, cup, glue, fixedpoints, cohomology, multiply,
 table, check, k0.  Output is deterministic (byte-identical across runs
 for identical arguments); use --format json for machine-readable output
 and --out FILE to write to a file instead of stdout.  Exit codes: 0 on
-success, 1 on a validation error, 2 when a check fails (the witness is
-printed).
+success, 1 on a usage or validation error, 2 when a check fails (the
+witness is printed).
 """
 from __future__ import annotations
 
@@ -204,8 +204,16 @@ def _cmd_k0(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: exit code 2 means a check failed."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arcalg",
         description="Cup-diagram combinatorics, cohomology presentations, and the arc algebra.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -218,6 +218,50 @@ def test_associativity_witness_is_the_first_failing_triple():
     assert check_associativity(Shape(5, 2), -1).witness == (
         "a=[^v^v^|^vv^^|^v^v^] b=[^vv^^|^v^v^|^v^v^] c=[^v^v^|^vv^^|^v^v^]: "
         "(ab)c=- 2*x2 != a(bc)=2*x2")
+    assert check_associativity(Shape(6, 2), -1).witness == (
+        "a=[^^v^v^|^^vv^^|^^v^v^] b=[^^vv^^|^^v^v^|^^v^v^] c=[^^v^v^|^^vv^^|^^v^v^]: "
+        "(ab)c=- 2*x3 != a(bc)=2*x3")
+
+
+# one composable pair through the two-cup middle v^v^, whose product is nonzero
+PAIR = tuple(next(iter(one(x, y).terms)) for x, y in ((NESTED, NXT), (NXT, NESTED)))
+
+
+def _negate(el):
+    return AlgebraElement(el.src, el.tgt, {t: -c for t, c in el.terms.items()})
+
+
+def _add_wrong_degree_term(el):
+    a, b = PAIR
+    want = degree(a) + degree(b)
+    t = next(t for t in basis(el.src, el.tgt) if degree(t) != want)
+    return AlgebraElement(el.src, el.tgt, {**el.terms, t: el.terms.get(t, 0) + 1})
+
+
+@pytest.mark.parametrize("check, args, corrupt, when, detail", [
+    (check_nested_agreement, (), _negate,
+     lambda mode, order: mode == "nested", ": nested - x1 + x2 != alpha=-1 x1 - x2"),
+    (check_order_independence, (-1,), _negate,
+     lambda mode, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 + x2 != x1 - x2"),
+    (check_order_independence, (1,), _negate,
+     lambda mode, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 - x2 != x1 + x2"),
+    (check_degree_additivity, (1,), _add_wrong_degree_term,
+     lambda mode, order: True, " term=[vv^^|vv^^|"),
+    (check_degree_additivity, (-1,), _add_wrong_degree_term,
+     lambda mode, order: True, " term=[vv^^|vv^^|"),
+])
+def test_checks_fail_on_one_corrupted_product(monkeypatch, check, args, corrupt, when, detail):
+    real = arc_algebra._multiply_basis
+
+    def fake(ba, bb, mode, cup_order):
+        prod = real(ba, bb, mode, cup_order)
+        return corrupt(prod) if (ba, bb) == PAIR and when(mode, cup_order) else prod
+
+    monkeypatch.setattr(arc_algebra, "_multiply_basis", fake)
+    res = check(Shape(4, 2), *args)
+    a, b = PAIR
+    assert not res.ok
+    assert res.witness.startswith(f"a={a} b={b}{detail}"), res.witness
 
 
 def test_associativity_minus_passes_at_2_1():
@@ -259,9 +303,8 @@ def test_clear_caches_empties_every_memo():
     want = multiply(a, b, -1)
     memos = (arc_algebra._compile_movie, arc_algebra.basis, arc_algebra.diagram_of,
              arc_algebra.canonical_order, weight_to_m)
-    assert arc_algebra._PRODUCT_CACHE and all(m.cache_info().currsize for m in memos)
+    assert all(m.cache_info().currsize for m in memos)
     arc_algebra.clear_caches()
-    assert not arc_algebra._PRODUCT_CACHE
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
     assert multiply(a, b, -1) == want
 

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from arcalg.cli import main
 from arcalg.arc_algebra import StructureTable, structure_table
 from arcalg.diagrams import Shape
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -123,3 +131,45 @@ def test_unwritable_out_path_is_a_clean_error(capsys, tmp_path):
     code, out, err = run(capsys, "enumerate", "--n", "2", "--k", "1", "--out", str(target))
     assert code == 1 and out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "x", "--k", "1"],
+    ["multiply", "--alpha", "2", "--left", "v^,^v", "--right", "^v,v^"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_1_with_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: arcalg") and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--help"])
+    assert exc.value.code == 0 and "usage: arcalg table" in capsys.readouterr().out
+
+
+def run_script(name, *argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["run_checks.py", "export_tables.py"])
+def test_scripts_refuse_a_range_without_shapes(name, tmp_path):
+    proc = run_script(name, "--max-n", "1", *(["--out-dir", str(tmp_path / "out")]
+                                              if name == "export_tables.py" else []))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "error: --max-n 1" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_scripts_run_the_smallest_range(tmp_path):
+    proc = run_script("run_checks.py", "--max-n", "2")
+    assert proc.returncode == 0 and proc.stdout.count("(2,1)") == 9
+    proc = run_script("export_tables.py", "--max-n", "2", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0 and proc.stdout == "wrote shape (2,1)\n"
