@@ -43,10 +43,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .diagrams import (CircleDiagram, CupDiagram, DOWN, Shape, UP,
-                       ValidationError, Weight, _cup_depths, enumerate_standard,
-                       enumerate_weights, glue, orientation_degree, orientations,
-                       render_circle_diagram, weight_of_tableau, weight_sort_key,
-                       weight_to_m)
+                       ValidationError, Weight, _cup_depths, diagram_of,
+                       enumerate_standard, enumerate_weights, orientation_degree,
+                       orientations, render_circle_diagram, weight_of_tableau,
+                       weight_sort_key, weight_to_m)
 
 
 class CompositionError(ValidationError):
@@ -70,11 +70,6 @@ class BasisElement:
 
     def __str__(self) -> str:
         return f"[{self.src}|{self.tgt}|{self.orient}]"
-
-
-@lru_cache(maxsize=None)
-def diagram_of(src: Weight, tgt: Weight) -> CircleDiagram:
-    return glue(weight_to_m(tgt), weight_to_m(src))
 
 
 @lru_cache(maxsize=None)
@@ -162,19 +157,15 @@ def canonical_order(mid: CupDiagram) -> tuple[tuple[int, int], ...]:
 
 def cup_orders(mid: CupDiagram):
     """All total cup orders processing containing cups before contained ones."""
-    cups = list(mid.cups)
-    contains = {(a, b) for a in cups for b in cups
-                if a != b and a[0] < b[0] and b[1] < a[1]}
-
     def rec(remaining: list, done: list):
         if not remaining:
             yield tuple(done)
             return
         for c in remaining:
-            if all((other, c) not in contains for other in remaining):
+            if not any(mid.contains_cup(other, c) for other in remaining):
                 yield from rec([o for o in remaining if o != c], done + [c])
 
-    yield from rec(cups, [])
+    yield from rec(list(mid.cups), [])
 
 
 def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...]:
@@ -185,7 +176,7 @@ def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...]:
         raise OrderError(f"order {order} does not list the cups of {mid.cups}")
     for pos, cup in enumerate(order):
         for later in order[pos + 1:]:
-            if later[0] < cup[0] and cup[1] < later[1]:
+            if mid.contains_cup(later, cup):
                 raise OrderError(f"cup {later} contains {cup} but is surgered after it")
     return order
 
@@ -487,9 +478,25 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
 
 
 def clear_caches() -> None:
-    """Empty the compiled movies and the diagram memos."""
-    for memo in (_compile_movie, basis, diagram_of, weight_to_m, canonical_order):
+    """Empty the compiled movies and the memos of bases, m(w) and cup orders."""
+    for memo in (_compile_movie, basis, weight_to_m, canonical_order):
         memo.cache_clear()
+
+
+def _mode(alpha: int, mode: str | None = None) -> str:
+    """The rule set of the product at ``alpha``: "plus", "minus", or "nested".
+
+    ``mode`` is None, or "nested" for the embedded TQFT, which agrees with
+    alpha = -1 and is only asked for there.
+    """
+    if alpha not in (1, -1):
+        raise ValidationError(f"alpha must be +1 or -1, not {alpha!r}")
+    if mode is None:
+        return "plus" if alpha == 1 else "minus"
+    if mode != "nested" or alpha != -1:
+        raise ValidationError(f"mode {mode!r} at alpha {alpha:+d}: "
+                              f"the only mode is 'nested', at alpha -1")
+    return mode
 
 
 def _expand(terms: dict, product) -> dict:
@@ -520,9 +527,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement, alpha: int = 1, order=None) -
     ``order`` may fix the cup processing order; it must schedule
     containing cups before contained ones.
     """
-    if alpha not in (1, -1):
-        raise ValidationError("alpha must be +1 or -1")
-    return _compose(a, b, "plus" if alpha == 1 else "minus", order)
+    return _compose(a, b, _mode(alpha), order)
 
 
 def multiply_nested(a: AlgebraElement, b: AlgebraElement, order=None) -> AlgebraElement:
@@ -612,9 +617,9 @@ def _composable(els: tuple[BasisElement, ...], length: int = 2):
 def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
                     mode: str | None = None) -> StructureTable:
     """All pairwise products of basis elements (zero/uncomposable pairs omitted)."""
+    the_mode = _mode(alpha, mode)
     weights, els = algebra_basis(shape, standard_only)
     index = {b: i for i, b in enumerate(els)}
-    the_mode = mode or ("plus" if alpha == 1 else "minus")
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for i, j in _composable(els):
         a, b = els[i], els[j]
@@ -663,7 +668,7 @@ def check_associativity(shape: Shape, alpha: int = 1) -> CheckResult:
 
 def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
     """Products agree across every nesting-compatible cup order."""
-    mode = "plus" if alpha == 1 else "minus"
+    mode = _mode(alpha)
     weights, els = algebra_basis(shape)
     orders = {y: list(cup_orders(weight_to_m(y))) for y in weights}
     for i, j in _composable(els):

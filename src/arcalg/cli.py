@@ -14,9 +14,10 @@ import json
 import sys
 
 from . import arc_algebra, cohomology, ktheory
-from .diagrams import (Shape, ValidationError, Weight, enumerate_standard,
-                       enumerate_weights, glue, orientations, render_circle_diagram,
-                       render_cup, weight_of_tableau, weight_to_C, weight_to_m)
+from .diagrams import (Shape, ValidationError, Weight, diagram_of,
+                       enumerate_standard, enumerate_weights, orientations,
+                       render_circle_diagram, render_cup, weight_of_tableau,
+                       weight_to_C, weight_to_m)
 
 
 def _shape(args) -> Shape:
@@ -67,7 +68,7 @@ def _cmd_glue(args) -> int:
     a, b = Weight.parse(args.a), Weight.parse(args.b)
     if a.n != b.n:
         raise ValidationError("weights --a and --b must have equal length")
-    z = glue(weight_to_m(b), weight_to_m(a))
+    z = diagram_of(a, b)
     census = [{"kind": c.kind, "vertices": list(c.vertices)} for c in z.components]
     if args.format == "json":
         _emit(args, json.dumps({"a": str(a), "b": str(b), "components": census,
@@ -88,7 +89,7 @@ def _cmd_fixedpoints(args) -> int:
         if (w.n, w.k) != (shape.n, shape.k):
             raise ValidationError(f"weight {flag} {w} has shape ({w.n},{w.k}), "
                                   f"not --n {shape.n} --k {shape.k}")
-    z = glue(weight_to_m(b), weight_to_m(a))
+    z = diagram_of(a, b)
     vs = orientations(z, a, b)
     if args.format == "json":
         _emit(args, json.dumps({"count": len(vs), "orientations": [str(v) for v in vs]}))

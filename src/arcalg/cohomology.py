@@ -17,10 +17,9 @@ import json
 from dataclasses import dataclass
 
 from . import _linalg
-from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, StandardTableau,
-                       ValidationError, Weight, epsilon, glue,
-                       orientation_degree, orientations, tableau_to_cup,
-                       weight_to_m)
+from .diagrams import (CIRCLE, CupDiagram, StandardTableau, ValidationError,
+                       Weight, diagram_of, epsilon, orientation_degree,
+                       orientations, tableau_to_cup, weight_to_m)
 
 
 @dataclass(frozen=True)
@@ -85,16 +84,6 @@ class GradedDim:
     @staticmethod
     def one() -> "GradedDim":
         return GradedDim(0, (1,))
-
-    @staticmethod
-    def from_degrees(degrees: list[int]) -> "GradedDim":
-        if not degrees:
-            return GradedDim.zero()
-        lo, hi = min(degrees), max(degrees)
-        coeffs = [0] * (hi - lo + 1)
-        for d in degrees:
-            coeffs[d - lo] += 1
-        return GradedDim(lo, tuple(coeffs))
 
     def __mul__(self, other: "GradedDim") -> "GradedDim":
         if not self.coeffs or not other.coeffs:
@@ -174,10 +163,6 @@ def _cup_presentation(cup: CupDiagram) -> tuple[RingPresentation, PullbackMap]:
     return RingPresentation(gens), PullbackMap(cup.n, tuple(images))
 
 
-def intersection_diagram(w: Weight, wp: Weight) -> CircleDiagram:
-    return glue(weight_to_m(wp), weight_to_m(w))
-
-
 def intersection_cohomology(w: Weight, wp: Weight) -> tuple[RingPresentation, PullbackMap] | None:
     """Presentation for a pairwise intersection, or None if it is empty.
 
@@ -187,7 +172,7 @@ def intersection_cohomology(w: Weight, wp: Weight) -> tuple[RingPresentation, Pu
     """
     if w.shape() != wp.shape():
         raise ValidationError("weights must share a shape")
-    z = intersection_diagram(w, wp)
+    z = diagram_of(w, wp)
     if not orientations(z, w, wp):
         return None
     circles = z.circles()
@@ -201,20 +186,18 @@ def intersection_cohomology(w: Weight, wp: Weight) -> tuple[RingPresentation, Pu
 
 def intrinsic_min_degree(w: Weight, wp: Weight) -> int | None:
     """Smallest orientation degree of the glued diagram; None when empty."""
-    z = intersection_diagram(w, wp)
+    z = diagram_of(w, wp)
     degs = [orientation_degree(z, v) for v in orientations(z, w, wp)]
     return min(degs) if degs else None
 
 
 def poincare(w: Weight, wp: Weight, shifted: bool = False) -> GradedDim:
     """(1 + q^2) per circle, multiplied by q**(minimal degree) if shifted."""
-    z = intersection_diagram(w, wp)
+    z = diagram_of(w, wp)
     vs = orientations(z, w, wp)
     if not vs:
         return GradedDim.zero()
-    out = GradedDim.one()
-    for _ in range(z.circle_count()):
-        out = out * GradedDim(0, (1, 0, 1))
+    out = RingPresentation(tuple(c.leftmost for c in z.circles())).hilbert()
     if shifted:
         out = out.shift(min(orientation_degree(z, v) for v in vs))
     return out
@@ -266,7 +249,7 @@ def odd_normalization(w: Weight, wp: Weight) -> OddNormalization:
     if pair is None:
         return OddNormalization((), True)
     pres, pb = pair
-    z = intersection_diagram(w, wp)
+    z = diagram_of(w, wp)
     choices = []
     for g in pres.generators:
         comp = z.component_of(g)

@@ -91,14 +91,6 @@ class Weight:
     def downs(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if self.mark(i) == DOWN)
 
-    def t(self, i: int) -> int:
-        """Number of up marks at positions <= i."""
-        return self.marks[:i].count(UP)
-
-    def b(self, i: int) -> int:
-        """Number of down marks at positions <= i."""
-        return self.marks[:i].count(DOWN)
-
     def shape(self) -> Shape:
         return Shape(self.n, self.k)
 
@@ -160,14 +152,6 @@ class StandardTableau:
         """Columns strictly decrease when the rows are left-justified."""
         return all(self.top[j] > self.bottom[j] for j in range(self.k))
 
-    def column_of(self, i: int) -> int:
-        """Column number of entry i (1 = leftmost column of its row)."""
-        if i in self.top:
-            return self.top.index(i) + 1
-        if i in self.bottom:
-            return self.bottom.index(i) + 1
-        raise ValidationError(f"{i} not in tableau")
-
     def __str__(self) -> str:
         return f"{','.join(map(str, self.top))}/{','.join(map(str, self.bottom))}"
 
@@ -214,15 +198,8 @@ class CupDiagram:
     def is_matched(self, i: int) -> bool:
         return i not in self.rays
 
-    def delta(self, i: int) -> int:
-        """Nesting size of the cup starting at left endpoint i."""
-        return (self.sigma(i) - i + 1) // 2
-
     def left_ends(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.cups)
-
-    def right_ends(self) -> tuple[int, ...]:
-        return tuple(b for _, b in self.cups)
 
     def contains_cup(self, outer: tuple[int, int], inner: tuple[int, int]) -> bool:
         return outer[0] < inner[0] and inner[1] < outer[1]
@@ -391,15 +368,12 @@ class Component:
 class CircleDiagram:
     """Glued diagram: ``top`` reflected above the axis, ``bottom`` below.
 
-    Components are ordered by leftmost vertex.  ``nesting[i]`` is the
-    index of the innermost circle properly containing component i (None
-    for lines and outermost circles).
+    Components are ordered by leftmost vertex.
     """
 
     top: CupDiagram
     bottom: CupDiagram
     components: tuple[Component, ...]
-    nesting: tuple[int | None, ...]
 
     @property
     def n(self) -> int:
@@ -418,13 +392,15 @@ class CircleDiagram:
         return sum(1 for c in self.components if c.kind == CIRCLE)
 
     def depth(self, idx: int) -> int:
-        """Number of circles properly containing component idx."""
-        d = 0
-        p = self.nesting[idx]
-        while p is not None:
-            d += 1
-            p = self.nesting[p]
-        return d
+        """Number of circles properly containing component idx.
+
+        A point lies inside a circle exactly when the vertical ray above it
+        crosses an odd number of the circle's caps.  No arc of a component
+        spans its own leftmost point, so the component never counts itself.
+        """
+        p = self.components[idx].leftmost
+        return sum(1 for c in self.circles()
+                   if sum(1 for kind, a, b in c.arcs if kind == "cap" and a < p < b) % 2)
 
 
 def glue(top: CupDiagram, bottom: CupDiagram) -> CircleDiagram:
@@ -463,25 +439,12 @@ def glue(top: CupDiagram, bottom: CupDiagram) -> CircleDiagram:
         comps.append(Component(kind, tuple(sorted(verts)), tuple(sorted(arcs)),
                                t_rays, b_rays))
     comps.sort(key=lambda c: c.leftmost)
-    nesting: list[int | None] = []
-    for i, c in enumerate(comps):
-        if c.kind != CIRCLE:
-            nesting.append(None)
-            continue
-        parent = None
-        parent_span = None
-        for j, d in enumerate(comps):
-            if j == i or d.kind != CIRCLE:
-                continue
-            caps_over = sum(1 for (kind, a, b) in d.arcs
-                            if kind == "cap" and a < c.leftmost < b)
-            if caps_over % 2 == 1:  # leftmost vertex of c lies inside d
-                span = d.vertices[-1] - d.vertices[0]
-                if parent_span is None or span < parent_span:
-                    parent_span = span
-                    parent = j
-        nesting.append(parent)
-    return CircleDiagram(top, bottom, tuple(comps), tuple(nesting))
+    return CircleDiagram(top, bottom, tuple(comps))
+
+
+def diagram_of(src: Weight, tgt: Weight) -> CircleDiagram:
+    """The glued diagram of a weight pair: m(src) below, m(tgt) on top."""
+    return glue(weight_to_m(tgt), weight_to_m(src))
 
 
 def orientations(z: CircleDiagram, w_bottom: Weight, w_top: Weight) -> list[Weight]:
@@ -604,7 +567,7 @@ def equivalence(c: CupDiagram, d: CupDiagram) -> EquivalenceData:
     The minimal representatives are 0 together with the leftmost point of
     every circle and line of the glued diagram; circle_reps are the ones
     on circles.  Ranks: 0 on any class containing a line point (and on the
-    class of 0), otherwise the parity recursion on consecutive reps.
+    class of 0), otherwise one more than the rank of the class of rep - 1.
     """
     if c.n != d.n:
         raise ValidationError("diagrams must have equal n")
@@ -624,13 +587,7 @@ def equivalence(c: CupDiagram, d: CupDiagram) -> EquivalenceData:
         if rep == 0 or any(x in line_points for x in cls):
             rank[rep] = 0
             continue
-        j = rep_of[rep - 1]
-        if (rep - 1) % 2 == j % 2:
-            rank[rep] = rank[j] + 1
-        else:
-            # unreachable for relations generated by a ~ sigma(a+1), which
-            # preserve parity; kept to mirror the stated recursion
-            rank[rep] = rank[j]
+        rank[rep] = rank[rep_of[rep - 1]] + 1
     return EquivalenceData(c.n, classes, min_reps, circle_reps,
                            tuple(sorted(rank.items())))
 

@@ -96,6 +96,42 @@ def component_census_oracle(w_bottom: Weight, w_top: Weight) -> list[tuple[str, 
     return sorted(out, key=lambda t: t[1][0])
 
 
+def nesting_depth_oracle(z) -> list[int]:
+    """Depth of every component of a glued diagram, by the earlier parent search.
+
+    The parent of a circle is the narrowest other circle with an odd
+    number of caps over its leftmost point; a depth is the length of the
+    parent chain, and lines have depth 0.
+    """
+    comps = z.components
+    parents: list[int | None] = []
+    for i, c in enumerate(comps):
+        if c.kind != CIRCLE:
+            parents.append(None)
+            continue
+        parent = None
+        parent_span = None
+        for j, d in enumerate(comps):
+            if j == i or d.kind != CIRCLE:
+                continue
+            caps_over = sum(1 for (kind, a, b) in d.arcs
+                            if kind == "cap" and a < c.leftmost < b)
+            if caps_over % 2 == 1:  # leftmost vertex of c lies inside d
+                span = d.vertices[-1] - d.vertices[0]
+                if parent_span is None or span < parent_span:
+                    parent_span = span
+                    parent = j
+        parents.append(parent)
+    depths = []
+    for p in parents:
+        d = 0
+        while p is not None:
+            d += 1
+            p = parents[p]
+        depths.append(d)
+    return depths
+
+
 def circle_sign_oracle(w_bottom: Weight, w_top: Weight) -> dict[tuple[int, int], int]:
     """(-1)**(shortest arc path from i to j) for all points i, j on one circle.
 

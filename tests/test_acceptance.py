@@ -12,10 +12,10 @@ import pytest
 from arcalg import arc_algebra as aa
 from arcalg import cohomology as co
 from arcalg import ktheory as kt
-from arcalg.diagrams import (Shape, StandardTableau, Weight, enumerate_standard,
-                             enumerate_weights, glue, is_oriented, orientations,
-                             tableau_to_cup, weight_of_tableau, weight_to_C,
-                             weight_to_m)
+from arcalg.diagrams import (Shape, StandardTableau, Weight, diagram_of,
+                             enumerate_standard, enumerate_weights, glue,
+                             is_oriented, orientations, tableau_to_cup,
+                             weight_of_tableau, weight_to_C, weight_to_m)
 from oracles import direct_product_oracle, orientation_count_oracle
 
 W = Weight.parse
@@ -205,7 +205,7 @@ def test_criterion_9_cohomology_consistency():
     for shape in all_shapes(8):
         ws = enumerate_weights(shape)
         for a, b in itertools.product(ws, repeat=2):
-            z = co.intersection_diagram(a, b)
+            z = diagram_of(a, b)
             cnt = len(orientations(z, a, b))
             res = co.intersection_cohomology(a, b)
             assert (res is None) == (cnt == 0)

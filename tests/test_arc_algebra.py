@@ -10,8 +10,8 @@ from arcalg.arc_algebra import (AlgebraElement, CompositionError,
                                 check_order_independence, check_unit, cup_orders,
                                 degree, idempotent, low_element, multiply,
                                 multiply_nested, structure_table)
-from arcalg.cohomology import intersection_diagram
-from arcalg.diagrams import (Shape, Weight, enumerate_standard, enumerate_weights,
+from arcalg.diagrams import (Shape, ValidationError, Weight, diagram_of,
+                             enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
 from oracles import _is_high, direct_product_oracle
 
@@ -64,7 +64,7 @@ def test_hom_dimension_is_two_to_circles():
     for shape in [Shape(4, 2), Shape(5, 2), Shape(6, 3)]:
         ws = weights_of(shape.n, shape.k)
         for x, y in itertools.product(ws, repeat=2):
-            z = intersection_diagram(x, y)
+            z = diagram_of(x, y)
             els = basis(x, y)
             if els:
                 assert len(els) == 2 ** z.circle_count()
@@ -75,7 +75,7 @@ def test_degree_generating_function_standard_pairs():
     for shape in [Shape(4, 2), Shape(6, 3), Shape(8, 4)]:
         stds = [weight_of_tableau(t) for t in enumerate_standard(shape)]
         for x, y in itertools.product(stds, repeat=2):
-            z = intersection_diagram(x, y)
+            z = diagram_of(x, y)
             c = z.circle_count()
             degs = sorted(degree(b) for b in basis(x, y))
             want = []
@@ -111,6 +111,21 @@ def test_bad_order_rejected():
     with pytest.raises(OrderError):
         # inner cup (2,3) before the containing (1,4)
         multiply(a2, b2, 1, order=[(2, 3), (1, 4)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: structure_table(Shape(4, 2), 2),
+    lambda: structure_table(Shape(4, 2), 1, mode="bogus"),
+    lambda: structure_table(Shape(4, 2), 1, mode="nested"),
+    lambda: check_associativity(Shape(4, 2), 0),
+    lambda: check_order_independence(Shape(4, 2), 5),
+    lambda: check_degree_additivity(Shape(4, 2), 3),
+    lambda: multiply(one(NESTED, NXT), one(NXT, NESTED), 2),
+], ids=["table-alpha", "table-bogus-mode", "table-nested-plus", "assoc-alpha",
+        "orders-alpha", "degree-alpha", "multiply-alpha"])
+def test_bad_alpha_or_mode_rejected(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_cup_orders_enumeration():
@@ -301,8 +316,8 @@ def test_clear_caches_empties_every_memo():
     a = one(NESTED, NXT)
     b = one(NXT, NESTED)
     want = multiply(a, b, -1)
-    memos = (arc_algebra._compile_movie, arc_algebra.basis, arc_algebra.diagram_of,
-             arc_algebra.canonical_order, weight_to_m)
+    memos = (arc_algebra._compile_movie, arc_algebra.basis, arc_algebra.canonical_order,
+             weight_to_m)
     assert all(m.cache_info().currsize for m in memos)
     arc_algebra.clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)

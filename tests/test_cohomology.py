@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcalg.cohomology import (GradedDim, component_cohomology,
-                               intersection_cohomology, intersection_diagram,
-                               intrinsic_min_degree, kernel_contains_both,
-                               odd_normalization, poincare,
+                               intersection_cohomology, intrinsic_min_degree,
+                               kernel_contains_both, odd_normalization, poincare,
                                pullback_is_surjective, stable_cohomology)
-from arcalg.diagrams import (Shape, StandardTableau, Weight, enumerate_standard,
-                             enumerate_weights, epsilon, equivalence, orientations,
-                             weight_of_tableau, weight_to_m)
+from arcalg.diagrams import (Shape, StandardTableau, Weight, diagram_of,
+                             enumerate_standard, enumerate_weights, epsilon,
+                             equivalence, orientations, weight_of_tableau,
+                             weight_to_m)
 
 W = Weight.parse
 
@@ -95,7 +95,7 @@ def test_dim_equals_orientation_count():
     for shape in all_shapes(8):
         ws = weights_of(shape.n, shape.k)
         for a, b in itertools.product(ws, repeat=2):
-            z = intersection_diagram(a, b)
+            z = diagram_of(a, b)
             cnt = len(orientations(z, a, b))
             res = intersection_cohomology(a, b)
             assert (res is None) == (cnt == 0)
@@ -133,7 +133,7 @@ def test_min_degree_matches_k_minus_c_for_standard():
         tabs = enumerate_standard(shape)
         for s, t in itertools.product(tabs, repeat=2):
             a, b = weight_of_tableau(s), weight_of_tableau(t)
-            z = intersection_diagram(a, b)
+            z = diagram_of(a, b)
             assert intrinsic_min_degree(a, b) == shape.k - z.circle_count()
 
 
@@ -172,7 +172,7 @@ def test_empty_iff_no_orientation(nk, data):
     ws = weights_of(*nk)
     a = data.draw(st.sampled_from(ws))
     b = data.draw(st.sampled_from(ws))
-    z = intersection_diagram(a, b)
+    z = diagram_of(a, b)
     assert (intersection_cohomology(a, b) is None) == (not orientations(z, a, b))
 
 
@@ -188,7 +188,7 @@ def test_intersection_generators_are_the_circle_representatives():
             pres, pb = res
             gens = equivalence(weight_to_m(a), weight_to_m(b)).circle_reps
             assert pres.generators == gens
-            z = intersection_diagram(a, b)
+            z = diagram_of(a, b)
             for i in range(1, shape.n + 1):
                 assert pb.image(i) == tuple((g, epsilon(z, i, g)) for g in gens
                                             if epsilon(z, i, g))

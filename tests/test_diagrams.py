@@ -13,7 +13,7 @@ from arcalg.diagrams import (CupDiagram, Shape, StandardTableau, ValidationError
                              tableau_to_cup, weight_of_tableau, weight_to_C,
                              weight_to_m)
 from oracles import (circle_sign_oracle, component_census_oracle,
-                     orientation_set_oracle)
+                     nesting_depth_oracle, orientation_set_oracle)
 
 W = Weight.parse
 
@@ -270,9 +270,19 @@ def test_glue_against_union_find_oracle():
 
 def test_nesting_forest():
     z = glue(weight_to_m(W("vv^^")), weight_to_m(W("vv^^")))
-    kinds = [(c.vertices, z.nesting[i]) for i, c in enumerate(z.components)]
-    assert kinds == [((1, 4), None), ((2, 3), 0)]
-    assert z.depth(1) == 1
+    depths = [(c.vertices, z.depth(i)) for i, c in enumerate(z.components)]
+    assert depths == [((1, 4), 0), ((2, 3), 1)]
+    z = glue(weight_to_m(W("vvv^^^")), weight_to_m(W("vvv^^^")))
+    depths = [(c.vertices, z.depth(i)) for i, c in enumerate(z.components)]
+    assert depths == [((1, 6), 0), ((2, 5), 1), ((3, 4), 2)]
+
+
+def test_depth_matches_parent_search():
+    for shape in all_shapes(8):
+        ws = weights_of(shape.n, shape.k)
+        for a, b in itertools.product(ws, repeat=2):
+            z = glue(weight_to_m(b), weight_to_m(a))
+            assert [z.depth(i) for i in range(len(z.components))] == nesting_depth_oracle(z)
 
 
 # --- epsilon ----------------------------------------------------------------
