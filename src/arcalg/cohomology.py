@@ -3,10 +3,11 @@
 Every ring appearing here is an exterior-style quotient on degree-2
 generators x_i with x_i**2 = 0, so a presentation is just an ordered set
 of generator indices.  Pullbacks from the ambient n-variable ring send
-each x_i to an integer combination of generators; for components and
-stable manifolds the image is 0 or a signed single generator, for
-pairwise intersections it is the epsilon-transport to the circle's
-leftmost representative.
+each x_i to 0 or to one generator with sign +1 or -1: for components and
+stable manifolds the generator at the left end of x_i's cup, for
+pairwise intersections the epsilon-transport to the circle's leftmost
+representative.  So the rank and kernel of a pullback are read off which
+generators it hits, with no elimination.
 
 EMPTY intersections are reported as None, mirroring a zero Hom space
 rather than a zero ring.
@@ -16,10 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import _linalg
-from .diagrams import (CIRCLE, CupDiagram, StandardTableau, ValidationError,
-                       Weight, diagram_of, epsilon, orientation_degree,
-                       orientations, tableau_to_cup, weight_to_m)
+from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, StandardTableau,
+                       ValidationError, Weight, diagram_of, epsilon,
+                       orientation_degree, orientations, tableau_to_cup,
+                       weight_to_m)
 
 
 @dataclass(frozen=True)
@@ -44,26 +45,24 @@ class RingPresentation:
 
 @dataclass(frozen=True)
 class PullbackMap:
-    """Images of x_1..x_n as signed combinations of the target generators.
+    """Images of x_1..x_n, each 0 or one target generator with sign +-1.
 
-    ``images[i-1]`` lists (generator, coefficient) pairs; coefficients
-    are always -1 or +1 and absent generators mean coefficient 0.
+    ``images[i-1]`` is ``()`` when x_i maps to 0 and ``((g, s),)`` when
+    it maps to s * x_g with s = -1 or +1.
     """
 
     n: int
     images: tuple[tuple[tuple[int, int], ...], ...]
 
+    def __post_init__(self) -> None:
+        if len(self.images) != self.n:
+            raise ValidationError(f"{len(self.images)} images for x_1..x_{self.n}")
+        for i, image in enumerate(self.images, 1):
+            if len(image) > 1 or any(coeff not in (1, -1) for _, coeff in image):
+                raise ValidationError(f"x_{i} maps to {list(image)}, not to 0 or +-x_g")
+
     def image(self, i: int) -> tuple[tuple[int, int], ...]:
         return self.images[i - 1]
-
-    def matrix(self, generators: tuple[int, ...]) -> list[list[int]]:
-        """Rows indexed by generators, columns by x_1..x_n."""
-        gidx = {g: r for r, g in enumerate(generators)}
-        mat = [[0] * self.n for _ in generators]
-        for i in range(1, self.n + 1):
-            for g, coeff in self.image(i):
-                mat[gidx[g]][i - 1] = coeff
-        return mat
 
     def to_json(self) -> str:
         return json.dumps({str(i + 1): [list(t) for t in row]
@@ -184,23 +183,25 @@ def intersection_cohomology(w: Weight, wp: Weight) -> tuple[RingPresentation, Pu
             PullbackMap(w.n, tuple(images)))
 
 
+def _glued_min_degree(w: Weight, wp: Weight) -> tuple[CircleDiagram, int | None]:
+    """The glued diagram and its smallest orientation degree (None if empty)."""
+    z = diagram_of(w, wp)
+    return z, min((orientation_degree(z, v) for v in orientations(z, w, wp)),
+                  default=None)
+
+
 def intrinsic_min_degree(w: Weight, wp: Weight) -> int | None:
     """Smallest orientation degree of the glued diagram; None when empty."""
-    z = diagram_of(w, wp)
-    degs = [orientation_degree(z, v) for v in orientations(z, w, wp)]
-    return min(degs) if degs else None
+    return _glued_min_degree(w, wp)[1]
 
 
 def poincare(w: Weight, wp: Weight, shifted: bool = False) -> GradedDim:
     """(1 + q^2) per circle, multiplied by q**(minimal degree) if shifted."""
-    z = diagram_of(w, wp)
-    vs = orientations(z, w, wp)
-    if not vs:
+    z, low = _glued_min_degree(w, wp)
+    if low is None:
         return GradedDim.zero()
     out = RingPresentation(tuple(c.leftmost for c in z.circles())).hilbert()
-    if shifted:
-        out = out.shift(min(orientation_degree(z, v) for v in vs))
-    return out
+    return out.shift(low) if shifted else out
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +209,28 @@ def poincare(w: Weight, wp: Weight, shifted: bool = False) -> GradedDim:
 
 
 def pullback_is_surjective(pres: RingPresentation, pb: PullbackMap) -> bool:
-    mat = pb.matrix(pres.generators)
-    return _linalg.rank(mat) == len(pres.generators)
+    """Every generator is hit; the rank is the number of generators hit."""
+    hit = {g for image in pb.images for g, _ in image}
+    if not hit <= set(pres.generators):
+        raise ValidationError(f"pullback hits {sorted(hit)}, not all among "
+                              f"the generators {list(pres.generators)}")
+    return len(hit) == len(pres.generators)
+
+
+def _kernel_within(p: PullbackMap, q: PullbackMap) -> bool:
+    """ker p is contained in ker q.
+
+    ker p is spanned by e_i where p(x_i) = 0 and by e_i - s_i*s_j*e_j
+    where p(x_i) = s_i*x_g and p(x_j) = s_j*x_g.  So q must kill what p
+    kills, and s_i*q(x_i) must be one value f(g) for each generator g.
+    """
+    f: dict[int | None, tuple] = {None: ()}  # None stands for p(x_i) = 0
+    for p_i, q_i in zip(p.images, q.images):
+        g, s = p_i[0] if p_i else (None, 1)
+        image = tuple((h, s * c) for h, c in q_i)
+        if f.setdefault(g, image) != image:
+            return False
+    return True
 
 
 def kernel_contains_both(w: Weight, wp: Weight) -> bool:
@@ -217,15 +238,7 @@ def kernel_contains_both(w: Weight, wp: Weight) -> bool:
     pair = intersection_cohomology(w, wp)
     if pair is None:
         return True  # nothing to check; the Hom space is zero
-    pres_pair, pb_pair = pair
-    rows_pair = pb_pair.matrix(pres_pair.generators)
-    for single in (stable_cohomology(w), stable_cohomology(wp)):
-        pres, pb = single
-        rows = pb.matrix(pres.generators)
-        for vec in _linalg.nullspace(rows):
-            if not _linalg.in_kernel(rows_pair, vec):
-                return False
-    return True
+    return all(_kernel_within(stable_cohomology(v)[1], pair[1]) for v in (w, wp))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ weights in decreasing order, making it lower unitriangular).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import _linalg
 from .diagrams import (DOWN, Shape, ValidationError, Weight,
                        enumerate_weights, weight_sort_key, weight_to_m)
 
@@ -70,7 +70,7 @@ def theta_set(w: Weight) -> tuple[Weight, ...]:
     return tuple(sorted(out, key=weight_sort_key))
 
 
-@dataclass
+@dataclass(frozen=True)
 class K0Matrix:
     """Expansion of the twisted classes over the line-bundle basis.
 
@@ -88,13 +88,19 @@ class K0Matrix:
     def entry(self, w: Weight, v: Weight) -> int:
         return self.entries[self.weights.index(w)][self.weights.index(v)]
 
+    def _is_lower_triangular(self) -> bool:
+        return not any(any(row[i + 1:]) for i, row in enumerate(self.entries))
+
     def det(self) -> int:
-        return _linalg.det_int([list(r) for r in self.entries])
+        """Product of the diagonal; raises unless the matrix is lower triangular."""
+        if not self._is_lower_triangular():
+            raise ValidationError(f"K0 matrix of shape ({self.shape.n},{self.shape.k}) "
+                                  "is not lower triangular")
+        return math.prod(row[i] for i, row in enumerate(self.entries))
 
     def is_lower_unitriangular(self) -> bool:
-        return all(self.entries[i][i] == 1 for i in range(len(self.weights))) and \
-            all(self.entries[i][j] == 0
-                for i in range(len(self.weights)) for j in range(i + 1, len(self.weights)))
+        return self._is_lower_triangular() and \
+            all(row[i] == 1 for i, row in enumerate(self.entries))
 
     def to_json(self) -> str:
         return json.dumps({"shape": [self.shape.n, self.shape.k],

@@ -3,12 +3,15 @@
 Everything here is deliberately written against different machinery than
 the package (networkx multigraphs, bit-parallel enumeration, brute-force
 closures) so that agreement is a genuine cross-check rather than the
-same code run twice.  The one exception is the reference surgery movie,
-the package's earlier engine, against which the compiled movie is
-compared step for step.
+same code run twice.  The exceptions are the package's earlier engines,
+kept as references: the surgery movie, against which the compiled movie
+is compared step for step, and exact elimination over Fraction with a
+Bareiss determinant, against which the pullback ranks, kernels and the
+K0 determinant read off their structure are compared.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import networkx as nx
@@ -818,3 +821,97 @@ def leq_oracle(w: Weight, v: Weight) -> bool:
                     seen.add(nxt)
                     frontier.append(nxt)
     return w.marks in seen
+
+
+# ---------------------------------------------------------------------------
+# exact elimination over Fraction and fraction-free Bareiss: the reference
+# for the pullback ranks, kernels and the K0 determinant
+
+
+def pullback_matrix(generators: tuple[int, ...], pb) -> list[list[int]]:
+    """Rows indexed by generators, columns by x_1..x_n."""
+    gidx = {g: r for r, g in enumerate(generators)}
+    mat = [[0] * pb.n for _ in generators]
+    for i, image in enumerate(pb.images):
+        for g, coeff in image:
+            mat[gidx[g]][i] = coeff
+    return mat
+
+
+def rref(rows: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def rank(rows: list[list[int]]) -> int:
+    if not rows:
+        return 0
+    return len(rref(rows)[1])
+
+
+def nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel {v : M v = 0} of a matrix with ncols columns."""
+    if not rows:
+        return [[Fraction(int(i == f)) for i in range(ncols)] for f in range(ncols)]
+    mat, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -mat[r][f]
+        basis.append(v)
+    return basis
+
+
+def in_kernel(rows: list[list[int]], vec: list[Fraction]) -> bool:
+    return all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+def kernel_within_oracle(p_gens, p, q_gens, q) -> bool:
+    """ker p is contained in ker q, by elimination over Fraction."""
+    rows_q = pullback_matrix(q_gens, q)
+    return all(in_kernel(rows_q, vec)
+               for vec in nullspace(pullback_matrix(p_gens, p), p.n))
+
+
+def det_int(mat: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

@@ -1,16 +1,20 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcalg.cohomology import (GradedDim, component_cohomology,
-                               intersection_cohomology, intrinsic_min_degree,
-                               kernel_contains_both, odd_normalization, poincare,
+from arcalg import cohomology
+from arcalg.cohomology import (GradedDim, PullbackMap, RingPresentation,
+                               component_cohomology, intersection_cohomology,
+                               intrinsic_min_degree, kernel_contains_both,
+                               odd_normalization, poincare,
                                pullback_is_surjective, stable_cohomology)
-from arcalg.diagrams import (Shape, StandardTableau, Weight, diagram_of,
-                             enumerate_standard, enumerate_weights, epsilon,
-                             equivalence, orientations, weight_of_tableau,
-                             weight_to_m)
+from arcalg.diagrams import (Shape, StandardTableau, ValidationError, Weight,
+                             diagram_of, enumerate_standard, enumerate_weights,
+                             epsilon, equivalence, orientations,
+                             weight_of_tableau, weight_to_m)
+from oracles import kernel_within_oracle, pullback_matrix, rank
 
 W = Weight.parse
 
@@ -192,3 +196,101 @@ def test_intersection_generators_are_the_circle_representatives():
             for i in range(1, shape.n + 1):
                 assert pb.image(i) == tuple((g, epsilon(z, i, g)) for g in gens
                                             if epsilon(z, i, g))
+
+
+# --- checks that must fail, rejected maps, and the elimination oracle ----------
+
+def _patch_pair_pullback(monkeypatch, point, image):
+    """Make intersection_cohomology send x_point to ``image`` instead."""
+    real = cohomology.intersection_cohomology
+
+    def patched(w, wp):
+        pres, pb = real(w, wp)
+        images = list(pb.images)
+        images[point - 1] = image
+        return pres, PullbackMap(pb.n, tuple(images))
+
+    monkeypatch.setattr(cohomology, "intersection_cohomology", patched)
+
+
+def test_kernel_check_fails_when_one_cup_end_flips_sign(monkeypatch):
+    # m(v^v^) has the cup (1, 2), so e_1 + e_2 lies in its stable kernel;
+    # the one circle of (v^v^, vv^^) sends x_1 -> x_1 and x_2 -> -x_1
+    a, b = W("v^v^"), W("vv^^")
+    assert intersection_cohomology(a, b)[1].image(2) == ((1, -1),)
+    assert kernel_contains_both(a, b)
+    _patch_pair_pullback(monkeypatch, 2, ((1, 1),))
+    assert not kernel_contains_both(a, b)
+
+
+def test_kernel_check_fails_when_a_ray_point_is_hit(monkeypatch):
+    # 3 is a ray of m(v^^), so e_3 lies in its stable kernel
+    a = W("v^^")
+    assert intersection_cohomology(a, a)[1].image(3) == ()
+    assert kernel_contains_both(a, a)
+    _patch_pair_pullback(monkeypatch, 3, ((1, 1),))
+    assert not kernel_contains_both(a, a)
+
+
+def test_surjectivity_fails_on_a_generator_nobody_hits():
+    pb = PullbackMap(2, (((1, 1),), ((1, -1),)))
+    assert pullback_is_surjective(RingPresentation((1,)), pb)
+    assert not pullback_is_surjective(RingPresentation((1, 3)), pb)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PullbackMap(3, (((1, 1),), ((1, -1),))),
+    lambda: PullbackMap(2, (((1, 1), (2, 1)), ())),
+    lambda: PullbackMap(2, (((1, 2),), ())),
+    lambda: PullbackMap(2, ((), ((1, 0),))),
+    lambda: pullback_is_surjective(RingPresentation((1,)),
+                                   PullbackMap(2, (((3, 1),), ()))),
+], ids=["too-few-images", "two-terms", "coefficient-2", "coefficient-0",
+        "generator-outside-presentation"])
+def test_malformed_pullbacks_are_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_kernel_contains_both_matches_elimination_oracle():
+    for shape in all_shapes(8):
+        ws = weights_of(shape.n, shape.k)
+        stable = {w: stable_cohomology(w) for w in ws}
+        for a, b in itertools.product(ws, repeat=2):
+            pair = intersection_cohomology(a, b)
+            want = pair is None or all(
+                kernel_within_oracle(pres.generators, pb, pair[0].generators, pair[1])
+                for pres, pb in (stable[a], stable[b]))
+            assert kernel_contains_both(a, b) == want
+
+
+def test_pullback_is_surjective_matches_rank():
+    for shape in all_shapes(8):
+        ws = weights_of(shape.n, shape.k)
+        presentations = [stable_cohomology(w) for w in ws]
+        presentations += [component_cohomology(s) for s in enumerate_standard(shape)]
+        presentations += [res for a, b in itertools.product(ws, repeat=2)
+                          if (res := intersection_cohomology(a, b)) is not None]
+        for pres, pb in presentations:
+            want = rank(pullback_matrix(pres.generators, pb)) == len(pres.generators)
+            assert pullback_is_surjective(pres, pb) == want
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_kernel_and_rank_of_random_maps_match_elimination_oracle(data):
+    n = data.draw(st.integers(1, 6))
+    points = range(1, n + 1)
+    gens = tuple(sorted(data.draw(st.sets(st.sampled_from(list(points)), max_size=3))))
+    image = st.sampled_from([()] + [((g, s),) for g in gens for s in (1, -1)])
+    p = PullbackMap(n, tuple(data.draw(image) for _ in points))
+    if data.draw(st.booleans()):
+        # p followed by a map of generators: ker q contains ker p
+        to = {g: data.draw(image) for g in gens}
+        q = PullbackMap(n, tuple(tuple((h, s * c) for g, s in im for h, c in to[g])
+                                 for im in p.images))
+    else:
+        q = PullbackMap(n, tuple(data.draw(image) for _ in points))
+    assert cohomology._kernel_within(p, q) == kernel_within_oracle(gens, p, gens, q)
+    pres = RingPresentation(gens)
+    assert pullback_is_surjective(pres, p) == (rank(pullback_matrix(gens, p)) == len(gens))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcalg.diagrams import Shape, ValidationError, Weight, enumerate_weights, weight_to_m
-from arcalg.ktheory import k0_matrix, length, theta_set, weight_leq
-from oracles import leq_oracle
+from arcalg.ktheory import K0Matrix, k0_matrix, length, theta_set, weight_leq
+from oracles import det_int, leq_oracle
 
 W = Weight.parse
 
@@ -128,3 +129,25 @@ def test_theta_switch_preserves_shape(nk, data):
     w = data.draw(st.sampled_from(ws))
     for v in theta_set(w):
         assert v.k == w.k and v.n == w.n
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_k0_det_matches_bareiss(n):
+    for k in range(n // 2 + 1):
+        mat = k0_matrix(Shape(n, k))
+        assert mat.det() == det_int([list(r) for r in mat.entries])
+
+
+def test_det_of_hand_built_matrices():
+    # a triangular matrix gives its diagonal product, any other one raises
+    mat = k0_matrix(Shape(2, 1))
+    assert mat.entries == ((1, 0), (-1, 1))
+    lower = K0Matrix(mat.shape, mat.weights, ((2, 0), (5, -3)), mat.direction)
+    assert not lower.is_lower_unitriangular()
+    assert lower.det() == det_int([[2, 0], [5, -3]]) == -6
+    upper = K0Matrix(mat.shape, mat.weights, ((1, -1), (0, 1)), mat.direction)
+    assert not upper.is_lower_unitriangular()
+    with pytest.raises(ValidationError):
+        upper.det()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mat.entries = upper.entries
