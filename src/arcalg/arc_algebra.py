@@ -13,26 +13,29 @@ first; cups are surgered outermost-first (surgering an inner cup before
 an outer one would thread vertical strands through a still-present cup
 and destroy planarity, and with it the sign rules).  The movie's topology
 is compiled once per weight triple and cup order into a list of events
-(merge, split, birth of a circle, a circle meeting a line), which a label
-pass folds for each pair of basis elements under one of three rule sets:
+(merge, split, birth of a circle, a circle meeting a line), together with
+the label sets of its input and output basis elements.  A label pass
+folds the events for each pair of basis elements under one of two rule
+sets:
 
-* ``alpha=+1``   plain Frobenius label rules (merge m, split
-  1 -> X(x)1 + 1(x)X); this is the associative arc algebra product;
-* ``alpha=-1``   the raw geometric rules in z-coordinates
-  (z_i = (-1)**i x_i): splits and circle births acquire (-1)**(left end),
-  ray closings (-1)**(ray+1); non-associative;
-* nested mode    the embedded TQFT which dispatches merges/splits on
-  circle nesting (m, Delta for disjoint circles; m', Delta' with the
-  outer circle first for nested ones).  It agrees with ``alpha=-1``.
+* Frobenius  Khovanov's Z[X]/(X^2): merge m, split 1 -> X(x)1 + 1(x)X;
+  this is the associative ``alpha=+1`` product.  The ``alpha=-1``
+  product, the raw geometric rules in z-coordinates (z_i = (-1)**i x_i),
+  is non-associative, and each of its rules multiplies every term of a
+  step by one sign: (-1)**(left end) at a split or a pinched-off circle,
+  (-1)**(ray+1) at a ray closing.  So it is the Frobenius product times
+  one sign per movie, read at both ends in z-coordinates.
+* nested     the embedded TQFT which dispatches merges/splits on circle
+  nesting (m, Delta for disjoint circles; m', Delta' with the outer
+  circle first for nested ones).  It agrees with ``alpha=-1``.
 
 Surgeries touching lines follow the graded rules: a saddle joining or
 reconnecting two line segments is the identity when both vanishing arcs
 are counter-clockwise (down mark at their left ends) and kills the
 product otherwise (mismatched marks or clockwise arcs).
 
-Everything is pure; the exhaustive checks at the bottom are
-embarrassingly parallel over basis pairs/triples and merge their results
-deterministically.
+Everything is pure.  The exhaustive checks at the bottom scan composable
+basis pairs or triples in a fixed order and report the first failure.
 """
 from __future__ import annotations
 
@@ -72,7 +75,7 @@ class BasisElement:
         return f"[{self.src}|{self.tgt}|{self.orient}]"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def basis(x: Weight, y: Weight) -> tuple[BasisElement, ...]:
     """All basis elements of Hom(x, y), deterministically ordered."""
     z = diagram_of(x, y)
@@ -148,7 +151,6 @@ def low_element(x: Weight, y: Weight) -> AlgebraElement | None:
 # cup orders
 
 
-@lru_cache(maxsize=1024)
 def canonical_order(mid: CupDiagram) -> tuple[tuple[int, int], ...]:
     """Outermost cups first; left to right among incomparable ones."""
     depths = _cup_depths(mid)
@@ -194,30 +196,32 @@ def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...]:
 # arc bands, bottom to top: cups of m(x), caps of m(y), cups of m(y), caps of m(z)
 _B_CUP_X, _B_CAP_MID, _B_CUP_MID, _B_CAP_Z = 0, 1, 2, 3
 _STRAND = -1
-_MODES = {"plus": 0, "minus": 1, "nested": 2}
 # events: a circle born with X (a ray closing or a circle pinched off a
-# line), a circle meeting a line, two circles merging, a circle splitting
+# line; it carries its nested-mode sign), a circle meeting a line, two
+# circles merging, a circle splitting
 _BIRTH, _KILL, _MERGE, _SPLIT = range(4)
 
 
 class _CompiledMovie(NamedTuple):
-    """Topology of one movie, shared by every basis pair and mode it serves.
+    """Everything about one movie that does not depend on the basis pair.
 
     Components have int ids, and a label set is a bitmask with bit ``id``
-    set for each circle carrying X.  ``factor_circles`` lists, for the
-    bottom and the top factor, (bit, leftmost point) per circle of its
-    diagram; a circle carries X when its leftmost point is up.  ``zero``
-    is set when a line reconnects through a clockwise or mismatched arc,
-    which kills every product.  ``parity`` is that of the sum of left ends over the
-    splitting and pinching cups.  ``outputs`` maps each label set of the
-    final circles to the basis element it orients and the parity of the
-    leftmost points of its X circles.
+    set for each circle carrying X.  ``zero`` is set when a line
+    reconnects through a clockwise or mismatched arc, which kills every
+    product.  ``parity`` is that of the sum of left ends over the
+    splitting and pinching cups, and ``flip`` whether it differs from the
+    canonical order's.  ``twist`` is the exponent of the product of the
+    alpha = -1 event signs at the canonical order.  ``inputs`` maps each
+    element of Hom(x, y) and of Hom(y, z) to its label set and the parity
+    of its X leftmost points; ``outputs`` maps back to Hom(x, z).
     """
 
     zero: bool
-    factor_circles: tuple
     events: tuple
     parity: int
+    flip: bool
+    twist: int
+    inputs: tuple[dict, dict]
     outputs: dict
 
 
@@ -232,10 +236,23 @@ def _inside(p_arcs: list, q_arcs: list) -> bool:
     return hits % 2 == 1
 
 
+def _labelled(els: tuple[BasisElement, ...], circles: dict[int, int]) -> dict:
+    """{element: (label set, parity of its X leftmost points)} for {leftmost: bit} ``circles``."""
+    out = {}
+    for b in els:
+        labels = flips = 0
+        for leftmost, bit in circles.items():
+            if b.orient.marks[leftmost - 1] == UP:
+                labels |= bit
+                flips += leftmost
+        out[b] = (labels, flips % 2)
+    return out
+
+
 @lru_cache(maxsize=1024)
 def _compile_movie(x: Weight, y: Weight, z: Weight,
                    cup_order: tuple[tuple[int, int], ...]) -> _CompiledMovie:
-    """Classify every step of the movie without touching labels.
+    """Classify every step of the movie, and read the label sets of its ends off ``basis``.
 
     Ray columns of m(y) are joined first, then its cups are surgered in
     ``cup_order``.  Only the components a step touches are walked again;
@@ -255,7 +272,6 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
             link(2 * a + level, 2 * b + level, band)
     forced = {2 * r: x.mark(r) for r in mx.rays}
     forced.update({2 * r + 1: z.mark(r) for r in mz.rays})
-    stubs = {2 * r + h for r in my.rays for h in (0, 1)}  # open until joined
     owner = [-1] * size
     comps: list[tuple[set[int], bool]] = []  # per id: nodes, is a line
 
@@ -270,45 +286,41 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
         cid = len(comps)
         for v in nodes:
             owner[v] = cid
-        comps.append((nodes, any(v in forced or v in stubs for v in nodes)))
+        # a line ends where a node lacks one of its two edges
+        comps.append((nodes, any(len(adj[v]) < 2 for v in nodes)))
         return cid
 
     def arcs_of(cid: int) -> list[tuple[int, int, int]]:
         return [(band, v >> 1, w >> 1) for v in comps[cid][0]
                 for w, band in adj[v] if band != _STRAND and v < w]
 
-    def line_marks(cid: int) -> dict[int, str]:
-        """Marks on a line, read off its bottom-layer, leftmost ray end."""
+    def down_at(cid: int, v: int) -> bool:
+        """Whether line ``cid`` is down at node v, read off its bottom-layer, leftmost ray end."""
         start = min((u for u in comps[cid][0] if u in forced), key=lambda u: (u & 1, u))
-        same = forced[start]
-        other = UP if same == DOWN else DOWN
         # bit 1 of a node is the parity of its column
-        return {v: other if (v ^ start) & 2 else same for v in comps[cid][0]}
+        return (forced[start] == DOWN) != bool((v ^ start) & 2)
 
-    def circles() -> list[tuple[int, list[int]]]:
-        """(id, sorted columns) of the current circles."""
-        return [(cid, sorted({v >> 1 for v in comps[cid][0]}))
-                for cid in sorted(set(owner[2:])) if not comps[cid][1]]
+    def circles(cids) -> dict[int, int]:
+        """{leftmost point: bit} of the circles among components ``cids``."""
+        return {min(comps[cid][0]) >> 1: 1 << cid for cid in cids if not comps[cid][1]}
 
     for v in range(2, size):
         if owner[v] < 0:
             register(v)
-    factor_circles: tuple[list, list] = ([], [])
-    for cid, cols in circles():
-        layer = next(iter(comps[cid][0])) & 1
-        factor_circles[layer].append((1 << cid, cols[0]))
+    factors = (circles(set(owner[2::2])), circles(set(owner[3::2])))
 
     events: list[tuple] = []
+    twist = 0
     for r in my.rays:
         lo, hi = 2 * r, 2 * r + 1
         closes = owner[lo] == owner[hi]
-        stubs -= {lo, hi}
         link(lo, hi, _STRAND)
         g = register(hi)
         if closes:  # the line closes into a circle, born with X
             cols = {v >> 1 for v in comps[g][0]}
-            sign = (-1) ** (min(cols & set(my.rays)) + 1)
-            events.append((_BIRTH, 1 << g, (1, sign, sign * (-1) ** min(cols))))
+            ray = min(cols & set(my.rays))
+            twist += ray + 1
+            events.append((_BIRTH, 1 << g, (-1) ** (ray + 1 + min(cols))))
 
     parity = 0
     zero = False
@@ -317,7 +329,7 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
         a, b = owner[ui], owner[li]
         a_line, b_line = comps[a][1], comps[b][1]
         # read before rewiring: marks where lines meet, nesting of merging circles
-        clockwise = a_line and b_line and not line_marks(a)[ui] == line_marks(b)[li] == DOWN
+        clockwise = a_line and b_line and not (down_at(a, ui) and down_at(b, li))
         inner = 0
         if a != b and not (a_line or b_line):
             a_arcs, b_arcs = arcs_of(a), arcs_of(b)
@@ -345,60 +357,47 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
             gi_arcs, gj_arcs = arcs_of(gi), arcs_of(gj)
             outer = (1 << gj if _inside(gi_arcs, gj_arcs)
                      else 1 << gi if _inside(gj_arcs, gi_arcs) else 0)
-            events.append((_SPLIT, 1 << a, 1 << gi, 1 << gj, (-1) ** i, outer))
+            events.append((_SPLIT, 1 << a, 1 << gi, 1 << gj, outer))
         else:
             born = [g for g in (gi, gj) if not comps[g][1]]
             if born:  # a circle pinches off the line, born with X
                 parity += i
-                sign = (-1) ** i
                 low = min(v >> 1 for v in comps[born[0]][0])
-                events.append((_BIRTH, 1 << born[0], (1, sign, sign * (-1) ** low)))
+                events.append((_BIRTH, 1 << born[0], (-1) ** (i + low)))
             else:  # the line reconnects with itself
                 zero = zero or clockwise
 
-    outputs: dict[int, tuple[BasisElement, int]] = {}
-    if not zero:
-        marks = [""] * (x.n + 1)
-        for cid in set(owner[2:]):
-            if comps[cid][1]:
-                for v, mark in line_marks(cid).items():
-                    if forced.get(v, mark) != mark:
-                        raise RuntimeError("line marks inconsistent with rays")
-                    marks[v >> 1] = mark
-        final = circles()
-        for chosen in itertools.product((False, True), repeat=len(final)):
-            labels = flips = 0
-            for (cid, cols), on in zip(final, chosen):
-                # X (high) is up at the leftmost column, 1 (low) down there
-                for c in cols:
-                    marks[c] = UP if on == ((c - cols[0]) % 2 == 0) else DOWN
-                if on:
-                    labels |= 1 << cid
-                    flips += cols[0]
-            orient = Weight("".join(marks[1:]))
-            outputs[labels] = (BasisElement(x, z, orient), flips % 2)
-    return _CompiledMovie(zero, tuple(map(tuple, factor_circles)), tuple(events),
-                          parity % 2, outputs)
+    parity %= 2
+    if zero:
+        return _CompiledMovie(True, (), parity, False, 0, ({}, {}), {})
+    outputs = {labels: (b, flips) for b, (labels, flips)
+               in _labelled(basis(x, z), circles(set(owner[2:]))).items()}
+    if not outputs:
+        raise RuntimeError(f"the movie {x} | {y} | {z} survives, but Hom({x}, {z}) is zero")
+    reference = canonical_order(my)
+    canonical = parity if cup_order == reference else _compile_movie(x, y, z, reference).parity
+    inputs = _labelled(basis(x, y), factors[0]), _labelled(basis(y, z), factors[1])
+    return _CompiledMovie(False, tuple(events), parity, parity != canonical,
+                          (twist + canonical) % 2, inputs, outputs)
 
 
 # ---------------------------------------------------------------------------
 # the movie, label pass: once per basis pair
 
 
-def _fold(events: tuple, m: int, terms: dict[int, int]) -> dict[int, int]:
-    """Apply the movie's events to {label bitmask: coeff} under mode ``m``.
+def _fold(events: tuple, nested: bool, terms: dict[int, int]) -> dict[int, int]:
+    """Apply the movie's events to {label bitmask: coeff}.
 
-    Merges use m (X.X = 0); nested mode uses m' there, under which an X on
-    the inner of two nested circles merges to -X.  Splits use Delta
-    (X -> X(x)X, 1 -> X(x)1 + 1(x)X), times (-1)**(left end) for
-    alpha = -1; nested mode uses Delta', which negates every term except
-    the one putting X on the outer of two nested pieces.
+    Merges use m (X.X = 0) and splits Delta (X -> X(x)X, 1 -> X(x)1 +
+    1(x)X); a circle is born with X.  ``nested`` selects the embedded
+    TQFT instead: m', under which an X on the inner of two nested circles
+    merges to -X; Delta', which negates every term except the one putting
+    X on the outer of two nested pieces; and a sign at each birth.
     """
     for event in events:
         kind = event[0]
         if kind == _BIRTH:
-            _, g, factors = event
-            f = factors[m]
+            g, f = event[1], event[2] if nested else 1
             terms = {labels | g: c * f for labels, c in terms.items()}
         elif kind == _KILL:
             terms = {labels: c for labels, c in terms.items() if not labels & event[1]}
@@ -413,17 +412,15 @@ def _fold(events: tuple, m: int, terms: dict[int, int]) -> dict[int, int]:
                     rest = labels & ~(a | b)
                     if has_a or has_b:
                         rest |= g
-                        if m == 2 and labels & inner:
+                        if nested and labels & inner:
                             c = -c  # m': 1 (x) X_inner -> -X
                     out[rest] = out.get(rest, 0) + c
             else:
-                _, a, gi, gj, sign, outer = event
-                if m == 0:
-                    fx = fi = fj = 1
-                elif m == 1:
-                    fx = fi = fj = sign
-                else:
+                _, a, gi, gj, outer = event
+                if nested:
                     fx, fi, fj = -1, 1 if gi == outer else -1, 1 if gj == outer else -1
+                else:
+                    fx = fi = fj = 1
                 for labels, c in terms.items():
                     rest = labels & ~a
                     if labels & a:
@@ -446,40 +443,28 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
                     cup_order: tuple[tuple[int, int], ...]) -> AlgebraElement:
     """Product of two basis elements through the compiled movie.
 
-    Labels in minus mode are z-classes, converted to leftmost-x classes at
-    both ends.  In minus and nested modes the result is renormalized by
-    the split parity of the canonical order, making the product
-    independent of the chosen cup order also on movies with handles
-    (first possible at n = 6), where the splitting cups themselves vary
-    with the order.  Genus-0 movies have order-invariant split parity, so
-    every canonical-order value and every order of the handle-free
-    products is left untouched.
+    Each alpha = -1 rule multiplies every term of a step by one sign, so
+    minus mode folds the plus rules, times the movie's twist and the
+    parities that turn leftmost-x classes into z-classes (z_i = (-1)**i
+    x_i) at both ends.  The twist, and the flip of a nested product, use
+    the split parity of the canonical order: on movies with handles (first
+    possible at n = 6) the splitting cups vary with the order.
     """
-    x, y, z = ba.src, ba.tgt, bb.tgt
-    movie = _compile_movie(x, y, z, cup_order)
+    x, z = ba.src, bb.tgt
+    movie = _compile_movie(x, ba.tgt, z, cup_order)
     out: dict[BasisElement, int] = {}
     if not movie.zero:
-        m = _MODES[mode]
-        labels = flips = 0
-        for b, circles in zip((ba, bb), movie.factor_circles):
-            for bit, leftmost in circles:
-                if b.orient.marks[leftmost - 1] == UP:
-                    labels |= bit
-                    flips += leftmost
-        coeff = -1 if m == 1 and flips % 2 else 1
-        reference = canonical_order(weight_to_m(y))
-        if m and cup_order != reference:
-            if movie.parity != _compile_movie(x, y, z, reference).parity:
-                coeff = -coeff
-        for labels, c in _fold(movie.events, m, {labels: coeff}).items():
+        (la, pa), (lb, pb) = movie.inputs[0][ba], movie.inputs[1][bb]
+        odd = {"plus": 0, "minus": pa + pb + movie.twist, "nested": movie.flip}[mode]
+        for labels, c in _fold(movie.events, mode == "nested", {la | lb: (-1) ** odd}).items():
             b, flips = movie.outputs[labels]
-            out[b] = -c if m == 1 and flips else c  # z -> leftmost-x dictionary
+            out[b] = -c if mode == "minus" and flips else c
     return AlgebraElement(x, z, out)
 
 
 def clear_caches() -> None:
-    """Empty the compiled movies and the memos of bases, m(w) and cup orders."""
-    for memo in (_compile_movie, basis, weight_to_m, canonical_order):
+    """Empty the compiled movies and the memos of bases and m(w)."""
+    for memo in (_compile_movie, basis, weight_to_m):
         memo.cache_clear()
 
 
@@ -514,6 +499,10 @@ def _expand(terms: dict, product) -> dict:
 def _compose(a: AlgebraElement, b: AlgebraElement, mode: str, order) -> AlgebraElement:
     if a.tgt != b.src:
         raise CompositionError(f"cannot compose {a.src}->{a.tgt} with {b.src}->{b.tgt}")
+    for el in (a, b):
+        stray = next((t for t in el.terms if t not in basis(el.src, el.tgt)), None)
+        if stray is not None:
+            raise ValidationError(f"{stray} is not a basis element of Hom({el.src}, {el.tgt})")
     cup_order = _validate_order(weight_to_m(a.tgt), order)
     return AlgebraElement(a.src, b.tgt, _expand(a.terms, lambda ba: _expand(
         b.terms, lambda bb: _multiply_basis(ba, bb, mode, cup_order).terms)))
@@ -620,10 +609,11 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
     the_mode = _mode(alpha, mode)
     weights, els = algebra_basis(shape, standard_only)
     index = {b: i for i, b in enumerate(els)}
+    orders = {y: canonical_order(weight_to_m(y)) for y in weights}
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for i, j in _composable(els):
         a, b = els[i], els[j]
-        prod = _multiply_basis(a, b, the_mode, canonical_order(weight_to_m(a.tgt)))
+        prod = _multiply_basis(a, b, the_mode, orders[a.tgt])
         if prod.terms:
             products[(i, j)] = tuple(sorted((index[t], c) for t, c in prod.terms.items()))
     return StructureTable(shape, alpha, weights, els, products)

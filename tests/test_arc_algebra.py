@@ -3,14 +3,14 @@ import itertools
 import pytest
 
 from arcalg import arc_algebra
-from arcalg.arc_algebra import (AlgebraElement, CompositionError,
+from arcalg.arc_algebra import (AlgebraElement, BasisElement, CompositionError,
                                 OrderError, StructureTable, basis,
                                 canonical_order, check_associativity,
                                 check_degree_additivity, check_nested_agreement,
                                 check_order_independence, check_unit, cup_orders,
                                 degree, idempotent, low_element, multiply,
                                 multiply_nested, structure_table)
-from arcalg.diagrams import (Shape, ValidationError, Weight, diagram_of,
+from arcalg.diagrams import (UP, Shape, ValidationError, Weight, diagram_of,
                              enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
 from oracles import _is_high, direct_product_oracle
@@ -99,6 +99,15 @@ def test_idempotent_is_unit_on_4_2():
 def test_composition_error():
     with pytest.raises(CompositionError):
         multiply(idempotent(NXT), idempotent(NESTED))
+
+
+def test_terms_outside_the_basis_are_rejected():
+    # vv does not orient the ray diagram of v^, so it is no basis element
+    stray = AlgebraElement(W("v^"), W("v^"), {BasisElement(W("v^"), W("v^"), W("vv")): 1})
+    with pytest.raises(ValidationError, match=r"\[v\^\|v\^\|vv\] is not a basis element"):
+        multiply(stray, idempotent(W("v^")))
+    with pytest.raises(ValidationError):
+        multiply_nested(idempotent(W("v^")), stray)
 
 
 def test_bad_order_rejected():
@@ -297,6 +306,33 @@ def test_orthogonal_idempotents():
                 multiply(idempotent(x), idempotent(y))
 
 
+def _epsilon(b) -> int:
+    """(-1) to the sum of the leftmost points of b's X circles."""
+    return (-1) ** sum(c.leftmost for c in b.diagram().circles()
+                       if b.orient.mark(c.leftmost) == UP)
+
+
+@pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 7) for k in range(n // 2 + 1)],
+                         ids=str)
+def test_minus_table_is_the_plus_table_twisted_by_epsilon(shape):
+    # Rescaling each basis element b by epsilon(b) turns the alpha -1 table
+    # into the alpha +1 table up to one sign per weight triple (x, y, z).
+    plus, minus = structure_table(shape, 1), structure_table(shape, -1)
+    els = plus.basis
+    eps = [_epsilon(b) for b in els]
+    assert minus.products.keys() == plus.products.keys()
+    signs: dict = {}
+    for (i, j), terms in minus.products.items():
+        want = plus.products[(i, j)]
+        assert [t for t, _ in terms] == [t for t, _ in want]
+        for (t, c), (_, w) in zip(terms, want):
+            c *= eps[i] * eps[j] * eps[t]
+            assert c in (w, -w)
+            triple = (els[i].src, els[i].tgt, els[j].tgt)
+            assert signs.setdefault(triple, c // w) == c // w, triple
+    assert signs or not plus.products
+
+
 # --- oracle agreement --------------------------------------------------------------
 
 def test_plus_product_matches_direct_oracle_4_2():
@@ -316,8 +352,7 @@ def test_clear_caches_empties_every_memo():
     a = one(NESTED, NXT)
     b = one(NXT, NESTED)
     want = multiply(a, b, -1)
-    memos = (arc_algebra._compile_movie, arc_algebra.basis, arc_algebra.canonical_order,
-             weight_to_m)
+    memos = (arc_algebra._compile_movie, arc_algebra.basis, weight_to_m)
     assert all(m.cache_info().currsize for m in memos)
     arc_algebra.clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
@@ -325,7 +360,7 @@ def test_clear_caches_empties_every_memo():
 
 
 def test_memos_are_bounded():
-    memos = (arc_algebra._compile_movie, arc_algebra.canonical_order, weight_to_m)
+    memos = (arc_algebra._compile_movie, arc_algebra.basis, weight_to_m)
     assert all(m.cache_info().maxsize is not None for m in memos)
 
 
