@@ -35,12 +35,14 @@ are counter-clockwise (down mark at their left ends) and kills the
 product otherwise (mismatched marks or clockwise arcs).
 
 Everything is pure.  The exhaustive checks at the bottom scan composable
-basis pairs or triples in a fixed order and report the first failure.
+basis pairs in a fixed order and report the first failure.  Associativity
+sums both bracketings over nonzero products only, and still reports the
+first failing triple in composable order.
 """
 from __future__ import annotations
 
-import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -588,19 +590,15 @@ def algebra_basis(shape: Shape, standard_only: bool = False) -> tuple[tuple[Weig
     return weights, tuple(els)
 
 
-def _composable(els: tuple[BasisElement, ...], length: int = 2):
-    """Every chain of ``length`` indices into ``els``, each target the next source.
+def _composable(els: tuple[BasisElement, ...]):
+    """Every pair (i, j) of indices into ``els`` with els[i].tgt == els[j].src.
 
-    Chains come in basis order of their first element, then of their
-    second, and so on.
+    Pairs come in basis order of their first element, then of their second.
     """
     by_src: dict[Weight, list[int]] = {}
-    for i, b in enumerate(els):
-        by_src.setdefault(b.src, []).append(i)
-    chains = ((i,) for i in range(len(els)))
-    for _ in range(length - 1):
-        chains = (chain + (j,) for chain in chains for j in by_src.get(els[chain[-1]].tgt, ()))
-    return chains
+    for j, b in enumerate(els):
+        by_src.setdefault(b.src, []).append(j)
+    return ((i, j) for i, a in enumerate(els) for j in by_src.get(a.tgt, ()))
 
 
 def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
@@ -634,25 +632,56 @@ def _x_form(els: tuple[BasisElement, ...], src: Weight, tgt: Weight, terms) -> s
 
 
 def check_associativity(shape: Shape, alpha: int = 1) -> CheckResult:
-    """(a*b)*c == a*(b*c) over every composable basis triple."""
-    table = structure_table(shape, alpha)
+    """(a*b)*c == a*(b*c) over every composable basis triple.
+
+    Both bracketings are summed over nonzero products only; the witness
+    is still the first failing triple in composable order.
+    """
+    return _associativity(structure_table(shape, alpha))
+
+
+def _associativity(table: StructureTable) -> CheckResult:
+    """check_associativity on a built table.
+
+    For each a in basis order, one dict holds (ab)c - a(bc) keyed by
+    (b, c, term): (ab)c runs over the nonzero products a*b, each term t of
+    a*b and the nonzero products t*c; a(bc) over the nonzero products a*t
+    and the products b*c whose support holds t.  The smallest (b, c) with
+    a nonzero entry is the first failing triple, as composable order is
+    lexicographic in the indices.
+    """
     els = table.basis
-    products = {pair: dict(terms) for pair, terms in table.products.items()}
+    rows: list[list] = [[] for _ in els]  # rows[p] = [(q, terms of p*q)]
+    cols: list[list] = [[] for _ in els]  # cols[t] = [(p, q, coeff of t in p*q)]
+    for (p, q), terms in table.products.items():
+        rows[p].append((q, terms))
+        for t, c in terms:
+            cols[t].append((p, q, c))
+    for i in range(len(els)):
+        diff: dict[tuple[int, int, int], int] = defaultdict(int)
+        for j, ab in rows[i]:
+            for t, e in ab:
+                for k, tc in rows[t]:
+                    for s, d in tc:
+                        diff[j, k, s] += e * d
+        for t, at in rows[i]:
+            for j, k, e in cols[t]:
+                for s, d in at:
+                    diff[j, k, s] -= e * d
+        bad = [key[:2] for key, v in diff.items() if v]
+        if bad:
+            j, k = min(bad)
+            a, b, c = els[i], els[j], els[k]
 
-    def prod(p: int, q: int) -> dict[int, int]:
-        return products.get((p, q), {})
+            def prod(p: int, q: int) -> dict[int, int]:
+                return dict(table.products.get((p, q), ()))
 
-    for (i, j), triples in itertools.groupby(_composable(els, 3), key=lambda t: t[:2]):
-        ab = prod(i, j)
-        for *_, k in triples:
-            left = _expand(ab, lambda t: prod(t, k))
+            left = _expand(prod(i, j), lambda t: prod(t, k))
             right = _expand(prod(j, k), lambda t: prod(i, t))
-            if left != right:
-                a, b, c = els[i], els[j], els[k]
-                return CheckResult(False,
-                                   f"a={a} b={b} c={c}: "
-                                   f"(ab)c={_x_form(els, a.src, c.tgt, left.items())} "
-                                   f"!= a(bc)={_x_form(els, a.src, c.tgt, right.items())}")
+            return CheckResult(False,
+                               f"a={a} b={b} c={c}: "
+                               f"(ab)c={_x_form(els, a.src, c.tgt, left.items())} "
+                               f"!= a(bc)={_x_form(els, a.src, c.tgt, right.items())}")
     return CheckResult(True)
 
 
@@ -677,8 +706,12 @@ def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
 
 def check_nested_agreement(shape: Shape) -> CheckResult:
     """multiply_nested agrees with multiply(alpha=-1) on every composable pair."""
-    nested = structure_table(shape, -1, mode="nested")
-    minus = structure_table(shape, -1)
+    return _nested_agreement(structure_table(shape, -1, mode="nested"),
+                             structure_table(shape, -1))
+
+
+def _nested_agreement(nested: StructureTable, minus: StructureTable) -> CheckResult:
+    """check_nested_agreement on the built nested and alpha = -1 tables."""
     els = minus.basis
     for i, j in _composable(els):
         lhs, rhs = nested.products.get((i, j), ()), minus.products.get((i, j), ())
@@ -692,7 +725,11 @@ def check_nested_agreement(shape: Shape) -> CheckResult:
 
 def check_degree_additivity(shape: Shape, alpha: int = 1) -> CheckResult:
     """Nonzero products sit in degree deg(a) + deg(b)."""
-    table = structure_table(shape, alpha)
+    return _degree_additivity(structure_table(shape, alpha))
+
+
+def _degree_additivity(table: StructureTable) -> CheckResult:
+    """check_degree_additivity on a built table."""
     els = table.basis
     degrees = [degree(b) for b in els]
     for (i, j), terms in table.products.items():  # in composable order

@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass
 
 from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, StandardTableau,
-                       ValidationError, Weight, diagram_of, epsilon,
-                       orientation_degree, orientations, tableau_to_cup,
-                       weight_to_m)
+                       ValidationError, Weight, _component_choices, diagram_of,
+                       epsilon, orientation_degree, orientations,
+                       tableau_to_cup, weight_to_m)
 
 
 @dataclass(frozen=True)
@@ -169,18 +169,28 @@ def intersection_cohomology(w: Weight, wp: Weight) -> tuple[RingPresentation, Pu
     diagram; the pullback transports x_i along its circle with the sign
     epsilon(i, generator), and kills points on lines.
     """
+    return _glued_intersection(w, wp)[1]
+
+
+def _glued_intersection(w: Weight, wp: Weight) -> tuple[
+        CircleDiagram, tuple[RingPresentation, PullbackMap] | None]:
+    """The glued diagram and intersection_cohomology of the pair.
+
+    The intersection is empty exactly when the rays of some line
+    contradict each other.
+    """
     if w.shape() != wp.shape():
         raise ValidationError("weights must share a shape")
     z = diagram_of(w, wp)
-    if not orientations(z, w, wp):
-        return None
+    if _component_choices(z, w, wp) is None:
+        return z, None
     circles = z.circles()
     images: list[tuple[tuple[int, int], ...]] = [()] * w.n
     for comp in circles:
         for i in comp.vertices:
             images[i - 1] = ((comp.leftmost, epsilon(z, i, comp.leftmost)),)
-    return (RingPresentation(tuple(c.leftmost for c in circles)),
-            PullbackMap(w.n, tuple(images)))
+    return z, (RingPresentation(tuple(c.leftmost for c in circles)),
+               PullbackMap(w.n, tuple(images)))
 
 
 def _glued_min_degree(w: Weight, wp: Weight) -> tuple[CircleDiagram, int | None]:
@@ -258,11 +268,10 @@ def odd_normalization(w: Weight, wp: Weight) -> OddNormalization:
     which is the matrix-conjugation form of the bimodule ring
     isomorphism.
     """
-    pair = intersection_cohomology(w, wp)
+    z, pair = _glued_intersection(w, wp)
     if pair is None:
         return OddNormalization((), True)
     pres, pb = pair
-    z = diagram_of(w, wp)
     choices = []
     for g in pres.generators:
         comp = z.component_of(g)

@@ -447,20 +447,16 @@ def diagram_of(src: Weight, tgt: Weight) -> CircleDiagram:
     return glue(weight_to_m(tgt), weight_to_m(src))
 
 
-def orientations(z: CircleDiagram, w_bottom: Weight, w_top: Weight) -> list[Weight]:
-    """All weights orienting every arc of z and matching the prescribed rays.
-
-    Rays of the bottom diagram must carry w_bottom's marks, rays of the
-    top diagram w_top's.  The count is 0 (some line is inconsistent), 1
-    (no circles), or 2**circles.
+def _component_choices(z: CircleDiagram, w_bottom: Weight,
+                       w_top: Weight) -> list[tuple[bool, ...]] | None:
+    """Per component of z, the values "its odd points carry an up" may take.
 
     Every arc joins points of opposite parity, so along a component the
     mark flips exactly when the point's parity does: an orientation of a
     component is fixed by whether its odd points carry an up.  A line's
-    rays force that choice (or contradict each other); a circle has both.
+    rays force that choice, or contradict each other (None); a circle has
+    both.
     """
-    if w_bottom.n != z.n or w_top.n != z.n:
-        raise ValidationError("weight length does not match diagram")
     per_comp: list[tuple[bool, ...]] = []
     for comp in z.components:
         if comp.kind == CIRCLE:
@@ -470,8 +466,23 @@ def orientations(z: CircleDiagram, w_bottom: Weight, w_top: Weight) -> list[Weig
                   for rays, w in ((comp.bottom_rays, w_bottom), (comp.top_rays, w_top))
                   for r in rays}
         if len(odd_up) > 1:
-            return []
+            return None
         per_comp.append(tuple(odd_up))
+    return per_comp
+
+
+def orientations(z: CircleDiagram, w_bottom: Weight, w_top: Weight) -> list[Weight]:
+    """All weights orienting every arc of z and matching the prescribed rays.
+
+    Rays of the bottom diagram must carry w_bottom's marks, rays of the
+    top diagram w_top's.  The count is 0 (some line is inconsistent), 1
+    (no circles), or 2**circles.
+    """
+    if w_bottom.n != z.n or w_top.n != z.n:
+        raise ValidationError("weight length does not match diagram")
+    per_comp = _component_choices(z, w_bottom, w_top)
+    if per_comp is None:
+        return []
     out = []
     for choice in itertools.product(*per_comp):
         marks = [UP] * z.n

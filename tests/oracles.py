@@ -5,9 +5,11 @@ the package (networkx multigraphs, bit-parallel enumeration, brute-force
 closures) so that agreement is a genuine cross-check rather than the
 same code run twice.  The exceptions are the package's earlier engines,
 kept as references: the surgery movie, against which the compiled movie
-is compared step for step, and exact elimination over Fraction with a
+is compared step for step, exact elimination over Fraction with a
 Bareiss determinant, against which the pullback ranks, kernels and the
-K0 determinant read off their structure are compared.
+K0 determinant read off their structure are compared, and the ordered
+scan of every composable triple, against which the sparse associativity
+check is compared.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from functools import lru_cache
 
 import networkx as nx
 
-from arcalg.arc_algebra import BasisElement, canonical_order, diagram_of
+from arcalg.arc_algebra import (AlgebraElement, BasisElement, CheckResult,
+                                StructureTable, canonical_order, diagram_of)
 from arcalg.diagrams import (CIRCLE, DOWN, LINE, UP, Component, Weight,
                              weight_to_m)
 
@@ -800,6 +803,49 @@ def movie_product_oracle(ba: BasisElement, bb: BasisElement, mode: str,
         be = BasisElement(x, z, v)
         out[be] = out.get(be, 0) + coeff
     return {b: c for b, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# the ordered triple scan: the package's earlier associativity check
+
+
+def associativity_scan_oracle(table: StructureTable) -> CheckResult:
+    """(ab)c == a(bc) over every composable basis triple of ``table``.
+
+    Triples come in basis order of a, then b, then c; each pays both
+    bracketings, zero products included, and the first failure is the
+    witness.
+    """
+    els = table.basis
+    products = {pair: dict(terms) for pair, terms in table.products.items()}
+    by_src: dict[Weight, list[int]] = {}
+    for idx, b in enumerate(els):
+        by_src.setdefault(b.src, []).append(idx)
+
+    def prod(p: int, q: int) -> dict[int, int]:
+        return products.get((p, q), {})
+
+    def expand(terms: dict[int, int], product) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for t, coeff in terms.items():
+            for s, c in product(t).items():
+                out[s] = out.get(s, 0) + coeff * c
+        return {s: c for s, c in out.items() if c}
+
+    def x_form(src: Weight, tgt: Weight, terms: dict[int, int]) -> str:
+        return AlgebraElement(src, tgt, {els[t]: c for t, c in terms.items()}).x_form()
+
+    for i, a in enumerate(els):
+        for j in by_src.get(a.tgt, ()):
+            for k in by_src.get(els[j].tgt, ()):
+                left = expand(prod(i, j), lambda t: prod(t, k))
+                right = expand(prod(j, k), lambda t: prod(i, t))
+                if left != right:
+                    b, c = els[j], els[k]
+                    return CheckResult(False, f"a={a} b={b} c={c}: "
+                                              f"(ab)c={x_form(a.src, c.tgt, left)} "
+                                              f"!= a(bc)={x_form(a.src, c.tgt, right)}")
+    return CheckResult(True)
 
 
 # ---------------------------------------------------------------------------

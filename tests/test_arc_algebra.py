@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -13,7 +15,7 @@ from arcalg.arc_algebra import (AlgebraElement, BasisElement, CompositionError,
 from arcalg.diagrams import (UP, Shape, ValidationError, Weight, diagram_of,
                              enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
-from oracles import _is_high, direct_product_oracle
+from oracles import _is_high, associativity_scan_oracle, direct_product_oracle
 
 W = Weight.parse
 NXT = W("v^v^")
@@ -30,6 +32,11 @@ def one(x, y, orient=None):
 
 def weights_of(n, k):
     return enumerate_weights(Shape(n, k))
+
+
+# tables of the n <= 6 sweeps, built once per test session
+built_table = functools.lru_cache(maxsize=None)(structure_table)
+SMALL_SHAPES = [Shape(n, k) for n in range(1, 7) for k in range(n // 2 + 1)]
 
 
 # --- degree -------------------------------------------------------------------
@@ -288,6 +295,53 @@ def test_checks_fail_on_one_corrupted_product(monkeypatch, check, args, corrupt,
     assert res.witness.startswith(f"a={a} b={b}{detail}"), res.witness
 
 
+def test_check_associativity_fails_on_one_corrupted_product(monkeypatch):
+    real = arc_algebra._multiply_basis
+
+    def fake(ba, bb, mode, cup_order):
+        prod = real(ba, bb, mode, cup_order)
+        return _negate(prod) if (ba, bb) == PAIR and mode == "plus" else prod
+
+    monkeypatch.setattr(arc_algebra, "_multiply_basis", fake)
+    res = check_associativity(Shape(4, 2), 1)
+    b, c = PAIR
+    assert not res.ok
+    assert f" b={b} c={c}: " in res.witness, res.witness
+    assert res == associativity_scan_oracle(structure_table(Shape(4, 2), 1))
+
+
+@pytest.mark.parametrize("alpha", [1, -1])
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+def test_associativity_matches_the_triple_scan(shape, alpha):
+    # check_associativity is _associativity of the freshly built table
+    table = built_table(shape, alpha)
+    assert arc_algebra._associativity(table) == associativity_scan_oracle(table)
+
+
+def _flip_first_coefficient(terms):
+    (t, c), *rest = terms
+    return ((t, -c), *rest)
+
+
+@pytest.mark.parametrize("alpha", [1, -1])
+@pytest.mark.parametrize("shape", [Shape(4, 2), Shape(5, 2)], ids=str)
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("corrupt", ["flip", "drop"])
+def test_associativity_matches_the_triple_scan_on_corrupted_tables(shape, alpha, position, corrupt):
+    table = built_table(shape, alpha)
+    keys = list(table.products)
+    key = keys[{"first": 0, "middle": len(keys) // 2, "last": -1}[position]]
+    products = dict(table.products)
+    if corrupt == "flip":
+        products[key] = _flip_first_coefficient(products[key])
+    else:
+        del products[key]
+    bad = dataclasses.replace(table, products=products)
+    want = associativity_scan_oracle(bad)
+    assert not want.ok
+    assert arc_algebra._associativity(bad) == want
+
+
 def test_associativity_minus_passes_at_2_1():
     res = check_associativity(Shape(2, 1), -1)
     assert res.ok, res.witness
@@ -312,12 +366,11 @@ def _epsilon(b) -> int:
                        if b.orient.mark(c.leftmost) == UP)
 
 
-@pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 7) for k in range(n // 2 + 1)],
-                         ids=str)
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
 def test_minus_table_is_the_plus_table_twisted_by_epsilon(shape):
     # Rescaling each basis element b by epsilon(b) turns the alpha -1 table
     # into the alpha +1 table up to one sign per weight triple (x, y, z).
-    plus, minus = structure_table(shape, 1), structure_table(shape, -1)
+    plus, minus = built_table(shape, 1), built_table(shape, -1)
     els = plus.basis
     eps = [_epsilon(b) for b in els]
     assert minus.products.keys() == plus.products.keys()

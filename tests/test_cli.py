@@ -173,3 +173,41 @@ def test_scripts_run_the_smallest_range(tmp_path):
     assert proc.returncode == 0 and proc.stdout.count("(2,1)") == 9
     proc = run_script("export_tables.py", "--max-n", "2", "--out-dir", str(tmp_path))
     assert proc.returncode == 0 and proc.stdout == "wrote shape (2,1)\n"
+
+
+def _count_table_builds(monkeypatch, module):
+    """Replace ``module.structure_table`` with a wrapper counting builds per argument tuple."""
+    builds = {}
+    real = module.structure_table
+
+    def counting(shape, alpha=1, standard_only=False, mode=None):
+        key = (shape, alpha, mode)
+        builds[key] = builds.get(key, 0) + 1
+        return real(shape, alpha, standard_only, mode)
+
+    monkeypatch.setattr(module, "structure_table", counting)
+    return builds
+
+
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_check_all_builds_each_table_once(monkeypatch, capsys, alpha):
+    from arcalg import arc_algebra
+    builds = _count_table_builds(monkeypatch, arc_algebra)
+    code, out, _ = run(capsys, "check", "--n", "4", "--k", "2", "--alpha", str(alpha))
+    assert code == (0 if alpha == 1 else 2)
+    assert out.count(": PASS") + out.count(": FAIL") == 4
+    shape = Shape(4, 2)
+    assert builds == {(shape, alpha, None): 1, (shape, -1, "nested"): 1, (shape, -1, None): 1}
+
+
+def test_run_checks_builds_each_table_once_per_shape(monkeypatch, capsys):
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("run_checks", ROOT / "scripts" / "run_checks.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    builds = _count_table_builds(monkeypatch, script)
+    monkeypatch.setattr(sys, "argv", ["run_checks.py", "--max-n", "3"])
+    assert script.main() == 0
+    assert capsys.readouterr().out.count(": PASS") == 2 * 9
+    assert builds == {(Shape(n, k), alpha, mode): 1 for n, k in ((2, 1), (3, 1))
+                      for alpha, mode in ((1, None), (-1, None), (-1, "nested"))}
