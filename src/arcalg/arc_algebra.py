@@ -13,10 +13,11 @@ first; cups are surgered outermost-first (surgering an inner cup before
 an outer one would thread vertical strands through a still-present cup
 and destroy planarity, and with it the sign rules).  The movie's topology
 is compiled once per weight triple and cup order into a list of events
-(merge, split, birth of a circle, a circle meeting a line), together with
-the label sets of its input and output basis elements.  A label pass
-folds the events for each pair of basis elements under one of two rule
-sets:
+(merge, split, birth of a circle, a circle meeting a line).  It names
+each component by its lowest node, so a basis element's label set, read
+once per Hom space, is a valid start or end of every movie with no
+translation.  A label pass folds the events for each pair of basis
+elements under one of two rule sets:
 
 * Frobenius  Khovanov's Z[X]/(X^2): merge m, split 1 -> X(x)1 + 1(x)X;
   this is the associative ``alpha=+1`` product.  The ``alpha=-1``
@@ -195,9 +196,6 @@ def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...]:
 # parity and flip the mark, the vertical strands left by the surgeries keep
 # both, so along a component the mark flips exactly with the column parity.
 
-# arc bands, bottom to top: cups of m(x), caps of m(y), cups of m(y), caps of m(z)
-_B_CUP_X, _B_CAP_MID, _B_CUP_MID, _B_CAP_Z = 0, 1, 2, 3
-_STRAND = -1
 # events: a circle born with X (a ray closing or a circle pinched off a
 # line; it carries its nested-mode sign), a circle meeting a line, two
 # circles merging, a circle splitting
@@ -207,15 +205,13 @@ _BIRTH, _KILL, _MERGE, _SPLIT = range(4)
 class _CompiledMovie(NamedTuple):
     """Everything about one movie that does not depend on the basis pair.
 
-    Components have int ids, and a label set is a bitmask with bit ``id``
-    set for each circle carrying X.  ``zero`` is set when a line
+    A component's id is its lowest node, and a label set is a bitmask with
+    bit ``id`` set for each circle carrying X.  ``zero`` is set when a line
     reconnects through a clockwise or mismatched arc, which kills every
     product.  ``parity`` is that of the sum of left ends over the
     splitting and pinching cups, and ``flip`` whether it differs from the
     canonical order's.  ``twist`` is the exponent of the product of the
-    alpha = -1 event signs at the canonical order.  ``inputs`` maps each
-    element of Hom(x, y) and of Hom(y, z) to its label set and the parity
-    of its X leftmost points; ``outputs`` maps back to Hom(x, z).
+    alpha = -1 event signs at the canonical order.
     """
 
     zero: bool
@@ -223,78 +219,79 @@ class _CompiledMovie(NamedTuple):
     parity: int
     flip: bool
     twist: int
-    inputs: tuple[dict, dict]
-    outputs: dict
 
 
-def _inside(p_arcs: list, q_arcs: list) -> bool:
-    """Whether circle p lies inside circle q: shoot a ray off p's first arc."""
-    band, i, _ = min(p_arcs)
-    t = 2 * i + 1  # doubled coordinates: arc (a, b) covers t iff 2a < t < 2b
-    if band in (_B_CUP_X, _B_CUP_MID):  # cup: shoot downward
-        hits = sum(1 for (b2, a, c) in q_arcs if b2 <= band and 2 * a < t < 2 * c)
-    else:  # cap: shoot upward
-        hits = sum(1 for (b2, a, c) in q_arcs if b2 >= band and 2 * a < t < 2 * c)
-    return hits % 2 == 1
+@lru_cache(maxsize=8192)
+def _ends(x: Weight, y: Weight) -> tuple[dict, dict]:
+    """{element of ``basis(x, y)``: (label set, parity)}, and {label set: (element, parity)}.
 
-
-def _labelled(els: tuple[BasisElement, ...], circles: dict[int, int]) -> dict:
-    """{element: (label set, parity of its X leftmost points)} for {leftmost: bit} ``circles``."""
-    out = {}
-    for b in els:
-        labels = flips = 0
-        for leftmost, bit in circles.items():
-            if b.orient.marks[leftmost - 1] == UP:
-                labels |= bit
-                flips += leftmost
-        out[b] = (labels, flips % 2)
-    return out
+    A circle with leftmost point c is bit 2c of a label set, set when the
+    element carries X (an up mark) there; the parity is that of the sum
+    of those c.
+    """
+    circles = [comp.leftmost for comp in diagram_of(x, y).circles()]
+    ends = {}
+    for b in basis(x, y):
+        up = [c for c in circles if b.orient.marks[c - 1] == UP]
+        ends[b] = (sum(1 << 2 * c for c in up), sum(up) % 2)
+    return ends, {labels: (b, parity) for b, (labels, parity) in ends.items()}
 
 
 @lru_cache(maxsize=1024)
 def _compile_movie(x: Weight, y: Weight, z: Weight,
                    cup_order: tuple[tuple[int, int], ...]) -> _CompiledMovie:
-    """Classify every step of the movie, and read the label sets of its ends off ``basis``.
+    """Classify every step of the movie.
 
     Ray columns of m(y) are joined first, then its cups are surgered in
-    ``cup_order``.  Only the components a step touches are walked again;
-    the others keep their ids.
+    ``cup_order``.  Only the components a step touches are walked again.
+    A component's id is its lowest node: before the rays are joined, a
+    circle of Hom(x, y) with leftmost point c has id 2c and one of
+    Hom(y, z) id 2c + 1; after the last surgery every column is a strand,
+    so a circle of Hom(x, z) has id 2c again.
     """
     mx, my, mz = weight_to_m(x), weight_to_m(y), weight_to_m(z)
     size = 2 * x.n + 2
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    adj: list[list[int]] = [[] for _ in range(size)]
 
-    def link(p: int, q: int, band: int) -> None:
-        adj[p].append((q, band))
-        adj[q].append((p, band))
+    def link(p: int, q: int) -> None:
+        adj[p].append(q)
+        adj[q].append(p)
 
-    for band, level, cups in ((_B_CUP_X, 0, mx.cups), (_B_CAP_MID, 0, my.cups),
-                              (_B_CUP_MID, 1, my.cups), (_B_CAP_Z, 1, mz.cups)):
+    for level, cups in ((0, mx.cups), (0, my.cups), (1, my.cups), (1, mz.cups)):
         for a, b in cups:
-            link(2 * a + level, 2 * b + level, band)
+            link(2 * a + level, 2 * b + level)
+    # the only arcs below layer 0 and above layer 1, which no surgery touches
+    outer_arcs = ([(2 * a, 2 * b) for a, b in mx.cups],
+                  [(2 * a + 1, 2 * b + 1) for a, b in mz.cups])
     forced = {2 * r: x.mark(r) for r in mx.rays}
     forced.update({2 * r + 1: z.mark(r) for r in mz.rays})
     owner = [-1] * size
-    comps: list[tuple[set[int], bool]] = []  # per id: nodes, is a line
+    comps: list = [None] * size  # per id: nodes, is a line
 
     def register(start: int) -> int:
         nodes = {start}
         stack = [start]
         while stack:
-            for w, _ in adj[stack.pop()]:
+            for w in adj[stack.pop()]:
                 if w not in nodes:
                     nodes.add(w)
                     stack.append(w)
-        cid = len(comps)
+        cid = min(nodes)
         for v in nodes:
             owner[v] = cid
         # a line ends where a node lacks one of its two edges
-        comps.append((nodes, any(len(adj[v]) < 2 for v in nodes)))
+        comps[cid] = (nodes, any(len(adj[v]) < 2 for v in nodes))
         return cid
 
-    def arcs_of(cid: int) -> list[tuple[int, int, int]]:
-        return [(band, v >> 1, w >> 1) for v in comps[cid][0]
-                for w, band in adj[v] if band != _STRAND and v < w]
+    def inside(p: int, q: int) -> bool:
+        """Whether circle p lies inside circle q.
+
+        A ray shot from node p, down from layer 0 or up from layer 1, meets
+        only m(x)'s cups or only m(z)'s caps; p is inside q when it meets
+        an odd number of q's.
+        """
+        nodes = comps[q][0]
+        return sum(1 for a, b in outer_arcs[p & 1] if a < p < b and a in nodes) % 2 == 1
 
     def down_at(cid: int, v: int) -> bool:
         """Whether line ``cid`` is down at node v, read off its bottom-layer, leftmost ray end."""
@@ -302,27 +299,21 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
         # bit 1 of a node is the parity of its column
         return (forced[start] == DOWN) != bool((v ^ start) & 2)
 
-    def circles(cids) -> dict[int, int]:
-        """{leftmost point: bit} of the circles among components ``cids``."""
-        return {min(comps[cid][0]) >> 1: 1 << cid for cid in cids if not comps[cid][1]}
-
     for v in range(2, size):
         if owner[v] < 0:
             register(v)
-    factors = (circles(set(owner[2::2])), circles(set(owner[3::2])))
 
     events: list[tuple] = []
     twist = 0
     for r in my.rays:
         lo, hi = 2 * r, 2 * r + 1
         closes = owner[lo] == owner[hi]
-        link(lo, hi, _STRAND)
+        link(lo, hi)
         g = register(hi)
         if closes:  # the line closes into a circle, born with X
-            cols = {v >> 1 for v in comps[g][0]}
-            ray = min(cols & set(my.rays))
+            ray = min(v >> 1 for v in comps[g][0] if v >> 1 in my.rays)
             twist += ray + 1
-            events.append((_BIRTH, 1 << g, (-1) ** (ray + 1 + min(cols))))
+            events.append((_BIRTH, 1 << g, (-1) ** (ray + 1 + (g >> 1))))
 
     parity = 0
     zero = False
@@ -334,15 +325,13 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
         clockwise = a_line and b_line and not (down_at(a, ui) and down_at(b, li))
         inner = 0
         if a != b and not (a_line or b_line):
-            a_arcs, b_arcs = arcs_of(a), arcs_of(b)
-            inner = (1 << a if _inside(a_arcs, b_arcs)
-                     else 1 << b if _inside(b_arcs, a_arcs) else 0)
-        adj[li].remove((lj, _B_CAP_MID))
-        adj[lj].remove((li, _B_CAP_MID))
-        adj[ui].remove((uj, _B_CUP_MID))
-        adj[uj].remove((ui, _B_CUP_MID))
-        link(li, ui, _STRAND)
-        link(lj, uj, _STRAND)
+            inner = 1 << a if inside(a, b) else 1 << b if inside(b, a) else 0
+        adj[li].remove(lj)
+        adj[lj].remove(li)
+        adj[ui].remove(uj)
+        adj[uj].remove(ui)
+        link(li, ui)
+        link(lj, uj)
         gi = register(ui)
         gj = gi if uj in comps[gi][0] else register(uj)
         if a != b:
@@ -356,31 +345,23 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
             if gi == gj:
                 raise RuntimeError("self-saddle failed to split a circle (non-planar state)")
             parity += i
-            gi_arcs, gj_arcs = arcs_of(gi), arcs_of(gj)
-            outer = (1 << gj if _inside(gi_arcs, gj_arcs)
-                     else 1 << gi if _inside(gj_arcs, gi_arcs) else 0)
+            outer = 1 << gj if inside(gi, gj) else 1 << gi if inside(gj, gi) else 0
             events.append((_SPLIT, 1 << a, 1 << gi, 1 << gj, outer))
         else:
             born = [g for g in (gi, gj) if not comps[g][1]]
             if born:  # a circle pinches off the line, born with X
                 parity += i
-                low = min(v >> 1 for v in comps[born[0]][0])
-                events.append((_BIRTH, 1 << born[0], (-1) ** (i + low)))
+                events.append((_BIRTH, 1 << born[0], (-1) ** (i + (born[0] >> 1))))
             else:  # the line reconnects with itself
                 zero = zero or clockwise
 
     parity %= 2
     if zero:
-        return _CompiledMovie(True, (), parity, False, 0, ({}, {}), {})
-    outputs = {labels: (b, flips) for b, (labels, flips)
-               in _labelled(basis(x, z), circles(set(owner[2:]))).items()}
-    if not outputs:
-        raise RuntimeError(f"the movie {x} | {y} | {z} survives, but Hom({x}, {z}) is zero")
+        return _CompiledMovie(True, (), parity, False, 0)
     reference = canonical_order(my)
     canonical = parity if cup_order == reference else _compile_movie(x, y, z, reference).parity
-    inputs = _labelled(basis(x, y), factors[0]), _labelled(basis(y, z), factors[1])
     return _CompiledMovie(False, tuple(events), parity, parity != canonical,
-                          (twist + canonical) % 2, inputs, outputs)
+                          (twist + canonical) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -445,28 +426,36 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
                     cup_order: tuple[tuple[int, int], ...]) -> AlgebraElement:
     """Product of two basis elements through the compiled movie.
 
-    Each alpha = -1 rule multiplies every term of a step by one sign, so
-    minus mode folds the plus rules, times the movie's twist and the
-    parities that turn leftmost-x classes into z-classes (z_i = (-1)**i
-    x_i) at both ends.  The twist, and the flip of a nested product, use
-    the split parity of the canonical order: on movies with handles (first
-    possible at n = 6) the splitting cups vary with the order.
+    The fold starts at ``ba``'s label set and ``bb``'s shifted into layer
+    1, and ends in ``_ends(x, z)``.  Each alpha = -1 rule multiplies every
+    term of a step by one sign, so minus mode folds the plus rules, times
+    the movie's twist and the parities that turn leftmost-x classes into
+    z-classes (z_i = (-1)**i x_i) at both ends.  The twist, and the flip
+    of a nested product, use the split parity of the canonical order: on
+    movies with handles (first possible at n = 6) the splitting cups vary
+    with the order.
     """
-    x, z = ba.src, bb.tgt
-    movie = _compile_movie(x, ba.tgt, z, cup_order)
+    x, y, z = ba.src, ba.tgt, bb.tgt
+    movie = _compile_movie(x, y, z, cup_order)
     out: dict[BasisElement, int] = {}
     if not movie.zero:
-        (la, pa), (lb, pb) = movie.inputs[0][ba], movie.inputs[1][bb]
+        (la, pa), (lb, pb) = _ends(x, y)[0][ba], _ends(y, z)[0][bb]
         odd = {"plus": 0, "minus": pa + pb + movie.twist, "nested": movie.flip}[mode]
-        for labels, c in _fold(movie.events, mode == "nested", {la | lb: (-1) ** odd}).items():
-            b, flips = movie.outputs[labels]
+        terms = _fold(movie.events, mode == "nested", {la | lb << 1: (-1) ** odd})
+        element_of = _ends(x, z)[1] if terms else {}
+        for labels, c in terms.items():
+            try:
+                b, flips = element_of[labels]
+            except KeyError:
+                raise RuntimeError(f"the movie {x} | {y} | {z} survives, but Hom({x}, {z}) "
+                                   f"has no element with label set {labels:#b}") from None
             out[b] = -c if mode == "minus" and flips else c
     return AlgebraElement(x, z, out)
 
 
 def clear_caches() -> None:
-    """Empty the compiled movies and the memos of bases and m(w)."""
-    for memo in (_compile_movie, basis, weight_to_m):
+    """Empty the compiled movies and the memos of bases, their label sets and m(w)."""
+    for memo in (_compile_movie, _ends, basis, weight_to_m):
         memo.cache_clear()
 
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, StandardTableau,
                        ValidationError, Weight, _component_choices, diagram_of,
-                       epsilon, orientation_degree, orientations,
-                       tableau_to_cup, weight_to_m)
+                       epsilon, tableau_to_cup, weight_to_m)
 
 
 @dataclass(frozen=True)
@@ -194,10 +193,19 @@ def _glued_intersection(w: Weight, wp: Weight) -> tuple[
 
 
 def _glued_min_degree(w: Weight, wp: Weight) -> tuple[CircleDiagram, int | None]:
-    """The glued diagram and its smallest orientation degree (None if empty)."""
+    """The glued diagram and its smallest orientation degree (None if empty).
+
+    An arc counts when its left end is up, which for a component is fixed
+    by whether its odd points are up; so the smallest degree is the sum,
+    over components, of the fewest arcs counted by an allowed choice.
+    """
     z = diagram_of(w, wp)
-    return z, min((orientation_degree(z, v) for v in orientations(z, w, wp)),
-                  default=None)
+    choices = _component_choices(z, w, wp)
+    if choices is None:
+        return z, None
+    return z, sum(min(sum(1 for _, a, _b in comp.arcs if (a % 2 == 1) == odd_up)
+                      for odd_up in allowed)
+                  for comp, allowed in zip(z.components, choices))
 
 
 def intrinsic_min_degree(w: Weight, wp: Weight) -> int | None:

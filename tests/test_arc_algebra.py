@@ -15,7 +15,8 @@ from arcalg.arc_algebra import (AlgebraElement, BasisElement, CompositionError,
 from arcalg.diagrams import (UP, Shape, ValidationError, Weight, diagram_of,
                              enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
-from oracles import _is_high, associativity_scan_oracle, direct_product_oracle
+from oracles import (_is_high, associativity_scan_oracle, component_census_oracle,
+                     direct_product_oracle)
 
 W = Weight.parse
 NXT = W("v^v^")
@@ -399,13 +400,42 @@ def test_plus_product_matches_direct_oracle_4_2():
                 assert {str(t.orient): c for t, c in got.terms.items()} == want
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_end_label_sets_match_the_component_census(n):
+    # Bit 2c is set for each census circle with leftmost point c that is up;
+    # the parity is that of the sum of those c.
+    for k in range(n // 2 + 1):
+        for x, y in itertools.product(weights_of(n, k), repeat=2):
+            ends, back = arc_algebra._ends(x, y)
+            els = basis(x, y)
+            lefts = [verts[0] for kind, verts in component_census_oracle(x, y)
+                     if kind == "circle"]
+            assert ends.keys() == set(els)
+            for b in els:
+                up = [c for c in lefts if b.orient.mark(c) == UP]
+                assert ends[b] == (sum(1 << 2 * c for c in up), sum(up) % 2), str(b)
+            assert len(back) == len(els) and {b for b, _ in back.values()} == set(els)
+            assert all(ends[b] == (labels, parity) for labels, (b, parity) in back.items())
+    arc_algebra.clear_caches()
+
+
+def test_surviving_movie_into_an_empty_hom_space_raises(monkeypatch):
+    a, b = one(NESTED, NXT), one(NXT, NESTED)
+    assert not multiply(a, b).is_zero()
+    real = arc_algebra._ends
+    monkeypatch.setattr(arc_algebra, "_ends",
+                        lambda x, y: ({}, {}) if (x, y) == (NESTED, NESTED) else real(x, y))
+    with pytest.raises(RuntimeError, match="survives"):
+        multiply(a, b)
+
+
 # --- memos ---------------------------------------------------------------------------
 
 def test_clear_caches_empties_every_memo():
     a = one(NESTED, NXT)
     b = one(NXT, NESTED)
     want = multiply(a, b, -1)
-    memos = (arc_algebra._compile_movie, arc_algebra.basis, weight_to_m)
+    memos = (arc_algebra._compile_movie, arc_algebra._ends, arc_algebra.basis, weight_to_m)
     assert all(m.cache_info().currsize for m in memos)
     arc_algebra.clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
@@ -413,7 +443,7 @@ def test_clear_caches_empties_every_memo():
 
 
 def test_memos_are_bounded():
-    memos = (arc_algebra._compile_movie, arc_algebra.basis, weight_to_m)
+    memos = (arc_algebra._compile_movie, arc_algebra._ends, arc_algebra.basis, weight_to_m)
     assert all(m.cache_info().maxsize is not None for m in memos)
 
 

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from arcalg.cohomology import (GradedDim, PullbackMap, RingPresentation,
                                pullback_is_surjective, stable_cohomology)
 from arcalg.diagrams import (Shape, StandardTableau, ValidationError, Weight,
                              diagram_of, enumerate_standard, enumerate_weights,
-                             epsilon, equivalence, orientations,
-                             weight_of_tableau, weight_to_m)
+                             epsilon, equivalence, orientation_degree,
+                             orientations, weight_of_tableau, weight_to_m)
 from oracles import kernel_within_oracle, pullback_matrix, rank
 
 W = Weight.parse
@@ -139,6 +140,19 @@ def test_min_degree_matches_k_minus_c_for_standard():
             a, b = weight_of_tableau(s), weight_of_tableau(t)
             z = diagram_of(a, b)
             assert intrinsic_min_degree(a, b) == shape.k - z.circle_count()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_min_degree_matches_the_smallest_orientation_degree(n):
+    ws = [Weight("".join(marks)) for marks in itertools.product("^v", repeat=n)]
+    for w, v in itertools.product(ws, repeat=2):
+        z = diagram_of(w, v)
+        low = min((orientation_degree(z, o) for o in orientations(z, w, v)), default=None)
+        assert intrinsic_min_degree(w, v) == low, (str(w), str(v))
+        c = z.circle_count()
+        want = GradedDim.zero() if low is None else GradedDim(  # q**low * (1 + q**2)**c
+            low, tuple(0 if i % 2 else comb(c, i // 2) for i in range(2 * c + 1)))
+        assert poincare(w, v, shifted=True) == want, (str(w), str(v))
 
 
 # --- pullback properties -------------------------------------------------------
