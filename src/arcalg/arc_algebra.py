@@ -80,10 +80,8 @@ class BasisElement:
 
 @lru_cache(maxsize=8192)
 def basis(x: Weight, y: Weight) -> tuple[BasisElement, ...]:
-    """All basis elements of Hom(x, y), deterministically ordered."""
-    z = diagram_of(x, y)
-    vs = orientations(z, x, y)
-    return tuple(BasisElement(x, y, v) for v in sorted(vs, key=weight_sort_key))
+    """All basis elements of Hom(x, y): the keys of ``_ends(x, y)``, in orientation order."""
+    return tuple(_ends(x, y)[0])
 
 
 def degree(b: BasisElement) -> int:
@@ -223,17 +221,19 @@ class _CompiledMovie(NamedTuple):
 
 @lru_cache(maxsize=8192)
 def _ends(x: Weight, y: Weight) -> tuple[dict, dict]:
-    """{element of ``basis(x, y)``: (label set, parity)}, and {label set: (element, parity)}.
+    """{basis element of Hom(x, y): (label set, parity)}, and {label set: (element, parity)}.
 
-    A circle with leftmost point c is bit 2c of a label set, set when the
-    element carries X (an up mark) there; the parity is that of the sum
-    of those c.
+    Hom(x, y) is glued once, and its orientations, which come in basis
+    order, give the elements.  A circle with leftmost point c is bit 2c
+    of a label set, set when the element carries X (an up mark) there;
+    the parity is that of the sum of those c.
     """
-    circles = [comp.leftmost for comp in diagram_of(x, y).circles()]
+    z = diagram_of(x, y)
+    circles = [comp.leftmost for comp in z.circles()]
     ends = {}
-    for b in basis(x, y):
-        up = [c for c in circles if b.orient.marks[c - 1] == UP]
-        ends[b] = (sum(1 << 2 * c for c in up), sum(up) % 2)
+    for v in orientations(z, x, y):
+        up = [c for c in circles if v.marks[c - 1] == UP]
+        ends[BasisElement(x, y, v)] = (sum(1 << 2 * c for c in up), sum(up) % 2)
     return ends, {labels: (b, parity) for b, (labels, parity) in ends.items()}
 
 
@@ -242,12 +242,15 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
                    cup_order: tuple[tuple[int, int], ...]) -> _CompiledMovie:
     """Classify every step of the movie.
 
-    Ray columns of m(y) are joined first, then its cups are surgered in
-    ``cup_order``.  Only the components a step touches are walked again.
-    A component's id is its lowest node: before the rays are joined, a
-    circle of Hom(x, y) with leftmost point c has id 2c and one of
-    Hom(y, z) id 2c + 1; after the last surgery every column is a strand,
-    so a circle of Hom(x, z) has id 2c again.
+    m(y)'s ray columns are linked before the one walk that registers
+    every component; its cups are then surgered in ``cup_order``, and
+    only the components a surgery touches are walked again.  A circle of
+    that walk through a ray column was closed by the ray joins and is
+    born with X; its smallest ray column gives the birth's sign and its
+    share of the twist.  A component's id is its lowest node: a circle of
+    Hom(x, y) with leftmost point c has id 2c and one of Hom(y, z) id
+    2c + 1; after the last surgery every column is a strand, so a circle
+    of Hom(x, z) has id 2c again.
     """
     mx, my, mz = weight_to_m(x), weight_to_m(y), weight_to_m(z)
     size = 2 * x.n + 2
@@ -260,6 +263,8 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
     for level, cups in ((0, mx.cups), (0, my.cups), (1, my.cups), (1, mz.cups)):
         for a, b in cups:
             link(2 * a + level, 2 * b + level)
+    for r in my.rays:  # ray columns are joined before any walk
+        link(2 * r, 2 * r + 1)
     # the only arcs below layer 0 and above layer 1, which no surgery touches
     outer_arcs = ([(2 * a, 2 * b) for a, b in mx.cups],
                   [(2 * a + 1, 2 * b + 1) for a, b in mz.cups])
@@ -299,21 +304,17 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
         # bit 1 of a node is the parity of its column
         return (forced[start] == DOWN) != bool((v ^ start) & 2)
 
-    for v in range(2, size):
-        if owner[v] < 0:
-            register(v)
-
     events: list[tuple] = []
     twist = 0
-    for r in my.rays:
-        lo, hi = 2 * r, 2 * r + 1
-        closes = owner[lo] == owner[hi]
-        link(lo, hi)
-        g = register(hi)
-        if closes:  # the line closes into a circle, born with X
-            ray = min(v >> 1 for v in comps[g][0] if v >> 1 in my.rays)
-            twist += ray + 1
-            events.append((_BIRTH, 1 << g, (-1) ** (ray + 1 + (g >> 1))))
+    for v in range(2, size):
+        if owner[v] < 0:
+            g = register(v)
+            nodes, is_line = comps[g]
+            rays = [u >> 1 for u in nodes if u >> 1 in my.rays]
+            if rays and not is_line:  # the ray joins closed a circle, born with X
+                ray = min(rays)
+                twist += ray + 1
+                events.append((_BIRTH, 1 << g, (-1) ** (ray + 1 + (g >> 1))))
 
     parity = 0
     zero = False
@@ -731,7 +732,7 @@ def _degree_additivity(table: StructureTable) -> CheckResult:
 
 
 def check_unit(shape: Shape, alpha: int = 1) -> CheckResult:
-    """Idempotents act as identities and are mutually orthogonal."""
+    """Idempotents act as identities: e(src) * b == b == b * e(tgt) for each basis element b."""
     weights, els = algebra_basis(shape)
     for b in els:
         e_left = idempotent(b.src)

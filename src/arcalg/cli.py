@@ -26,7 +26,7 @@ def _shape(args) -> Shape:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -101,7 +101,7 @@ def _cmd_fixedpoints(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     a = Weight.parse(args.a)
-    if args.b:
+    if args.b is not None:
         b = Weight.parse(args.b)
         res = cohomology.intersection_cohomology(a, b)
         poin = cohomology.poincare(a, b, shifted=args.shifted)

@@ -496,8 +496,7 @@ def orientations(z: CircleDiagram, w_bottom: Weight, w_top: Weight) -> list[Weig
 
 def orientation_degree(z: CircleDiagram, v: Weight) -> int:
     """Number of arcs (cups and caps) whose left endpoint carries an up."""
-    return sum(1 for comp in z.components for (_, a, _b) in comp.arcs
-               if v.mark(a) == UP)
+    return sum(1 for a, _ in z.top.cups + z.bottom.cups if v.mark(a) == UP)
 
 
 def epsilon(z: CircleDiagram, i: int, j: int) -> int:

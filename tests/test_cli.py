@@ -134,6 +134,20 @@ def test_unwritable_out_path_is_a_clean_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["cohomology", "--a", ""],
+    ["cohomology", "--a", "v^", "--b", ""],
+    ["cup", "--weight", ""],
+    ["multiply", "--left", "", "--right", "v^,v^"],
+    ["multiply", "--left", "v^,v^", "--right", ""],
+    ["enumerate", "--n", "2", "--k", "1", "--out", ""],
+], ids=["a", "b", "weight", "left", "right", "out"])
+def test_empty_flag_values_are_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
     ["table", "--n", "x", "--k", "1"],
     ["multiply", "--alpha", "2", "--left", "v^,^v", "--right", "^v,v^"],
     ["frobnicate"],

@@ -133,6 +133,22 @@ def test_graded_dim_str():
     assert str(GradedDim(0, (2,))) == "2"
 
 
+def test_graded_dim_is_stored_normalized():
+    padded = GradedDim(0, (0, 1, 0))
+    assert padded == GradedDim(1, (1,))
+    assert hash(padded) == hash(GradedDim(1, (1,)))
+    assert padded.to_json() == GradedDim(1, (1,)).to_json()
+    assert GradedDim(3, ()) == GradedDim.zero() and GradedDim(3, ()).offset == 0
+
+
+@pytest.mark.parametrize("c", range(7))
+def test_hilbert_is_a_product_of_one_plus_q_squared(c):
+    want = GradedDim.one()
+    for _ in range(c):
+        want = want * GradedDim(0, (1, 0, 1))
+    assert RingPresentation(tuple(range(1, c + 1))).hilbert() == want
+
+
 def test_min_degree_matches_k_minus_c_for_standard():
     for shape in [Shape(4, 2), Shape(6, 3)]:
         tabs = enumerate_standard(shape)
@@ -244,6 +260,31 @@ def test_kernel_check_fails_when_a_ray_point_is_hit(monkeypatch):
     assert kernel_contains_both(a, a)
     _patch_pair_pullback(monkeypatch, 3, ((1, 1),))
     assert not kernel_contains_both(a, a)
+
+
+def _patch_glued_pullback(monkeypatch, point, image):
+    """Make _glued_intersection send x_point to ``image`` instead."""
+    real = cohomology._glued_intersection
+
+    def patched(w, wp):
+        z, (pres, pb) = real(w, wp)
+        images = list(pb.images)
+        images[point - 1] = image
+        return z, (pres, PullbackMap(pb.n, tuple(images)))
+
+    monkeypatch.setattr(cohomology, "_glued_intersection", patched)
+
+
+@pytest.mark.parametrize("pair, point, image", [
+    ("v^^^", 2, ((1, 1),)),  # x_2 -> -x_1 on the circle {1, 2}, flipped
+    ("v^v^", 2, ((3, -1),)),  # x_2 sent to the generator of the other circle {3, 4}
+    ("v^^^", 3, ((1, 1),)),  # 3 lies on a line, so x_3 must map to 0
+], ids=["flipped-sign", "other-circle", "line-point-hit"])
+def test_odd_normalization_fails_on_a_corrupted_pullback(monkeypatch, pair, point, image):
+    a = W(pair)
+    assert odd_normalization(a, a).ok
+    _patch_glued_pullback(monkeypatch, point, image)
+    assert odd_normalization(a, a).ok is False
 
 
 def test_surjectivity_fails_on_a_generator_nobody_hits():
