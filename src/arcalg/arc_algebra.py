@@ -35,6 +35,15 @@ reconnecting two line segments is the identity when both vanishing arcs
 are counter-clockwise (down mark at their left ends) and kills the
 product otherwise (mismatched marks or clockwise arcs).
 
+Structure tables run no movie at alpha = +-1.  After the last surgery
+every column carries a vertical strand, so the whole cobordism of a
+weight triple (x, y, z) is fixed by the components of m(x), m(y) and
+m(z) drawn together: the convolution reads every alpha = +1 product of
+the triple off per-component counts, once per triple, and alpha = -1 is
+that product times (-1)**(pa + pb + twist) with the output parities, as
+above.  The movie serves nested mode, explicit cup orders, ``multiply``
+and the twist, and is the reference the tables are tested against.
+
 Everything is pure.  The exhaustive checks at the bottom scan composable
 basis pairs in a fixed order and report the first failure.  Associativity
 sums both bracketings over nonzero products only, and still reports the
@@ -48,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagrams import (CircleDiagram, CupDiagram, DOWN, Shape, UP,
+from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, DOWN, Shape, UP,
                        ValidationError, Weight, _cup_depths, diagram_of,
                        enumerate_standard, enumerate_weights, orientation_degree,
                        orientations, render_circle_diagram, weight_of_tableau,
@@ -80,8 +89,8 @@ class BasisElement:
 
 @lru_cache(maxsize=8192)
 def basis(x: Weight, y: Weight) -> tuple[BasisElement, ...]:
-    """All basis elements of Hom(x, y): the keys of ``_ends(x, y)``, in orientation order."""
-    return tuple(_ends(x, y)[0])
+    """All basis elements of Hom(x, y), in orientation order: ``_ends(x, y).elements``."""
+    return _ends(x, y).elements
 
 
 def degree(b: BasisElement) -> int:
@@ -219,22 +228,50 @@ class _CompiledMovie(NamedTuple):
     twist: int
 
 
-@lru_cache(maxsize=8192)
-def _ends(x: Weight, y: Weight) -> tuple[dict, dict]:
-    """{basis element of Hom(x, y): (label set, parity)}, and {label set: (element, parity)}.
+class _Hom(NamedTuple):
+    """What the products read of one Hom space.
 
-    Hom(x, y) is glued once, and its orientations, which come in basis
-    order, give the elements.  A circle with leftmost point c is bit 2c
-    of a label set, set when the element carries X (an up mark) there;
-    the parity is that of the sum of those c.
+    Column c is bit 2c of every mask, and a circle is named by its
+    leftmost point: a label set has bit 2c set for each circle with
+    leftmost point c that carries X (an up mark), and the parity is that
+    of the sum of those c.  The first four fields run over the elements
+    in basis order.
     """
+
+    elements: tuple[BasisElement, ...]
+    labels: tuple[int, ...]
+    parities: tuple[int, ...]
+    degrees: tuple[int, ...]
+    index: dict  # {element: position}
+    at: dict  # {label set: position}
+    circles: int  # the label set with X on every circle
+    parts: tuple[int, ...]  # the columns of each component
+    lines: tuple[tuple[int, int], ...]  # the bottom and the top ray ends of each line
+    caps: int  # the left ends of the upper diagram's cups
+
+
+def _mask(columns) -> int:
+    return sum(1 << 2 * c for c in columns)
+
+
+@lru_cache(maxsize=8192)
+def _ends(x: Weight, y: Weight) -> _Hom:
+    """Hom(x, y), glued once; its orientations come in basis order."""
     z = diagram_of(x, y)
     circles = [comp.leftmost for comp in z.circles()]
-    ends = {}
+    elements, labels, parities, degrees = [], [], [], []
     for v in orientations(z, x, y):
         up = [c for c in circles if v.marks[c - 1] == UP]
-        ends[BasisElement(x, y, v)] = (sum(1 << 2 * c for c in up), sum(up) % 2)
-    return ends, {labels: (b, parity) for b, (labels, parity) in ends.items()}
+        elements.append(BasisElement(x, y, v))
+        labels.append(_mask(up))
+        parities.append(sum(up) % 2)
+        degrees.append(orientation_degree(z, v))
+    return _Hom(tuple(elements), tuple(labels), tuple(parities), tuple(degrees),
+                {b: i for i, b in enumerate(elements)}, {l: i for i, l in enumerate(labels)},
+                _mask(circles), tuple(_mask(comp.vertices) for comp in z.components),
+                tuple((_mask(comp.bottom_rays), _mask(comp.top_rays))
+                      for comp in z.components if comp.kind != CIRCLE),
+                _mask(a for a, _ in z.top.cups))
 
 
 @lru_cache(maxsize=1024)
@@ -420,6 +457,140 @@ def _fold(events: tuple, nested: bool, terms: dict[int, int]) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# the convolution: alpha = +1 read off the components of the weight triple
+#
+# After the last surgery every column carries a vertical strand, so the
+# cobordism of a triple (x, y, z) collapses onto the columns: its
+# components are those of the graph whose edges are the cups of m(x), m(y)
+# and m(z).  Per component K count s, the cups of m(y) (the saddles); E,
+# the rays of m(x) and m(z); ci, the circles of Hom(x, y) and Hom(y, z) in
+# K plus the circles that m(y)'s ray joins close (born with X); and co,
+# the circles of Hom(x, z).  A circle component (E = 0) is a sphere with
+# g = (2 + s - ci - co) / 2 handles: with e = g plus the X's on its input
+# circles, the product is 0 if e >= 2, otherwise 2**g times X on every
+# output circle (e = 1) or the sum over output circles c of X on every
+# output circle but c (e = 0).  A line component is a disc through its ray
+# ends: it needs s = E/2 + ci + co - 1 and no X on an input circle, and
+# puts X on every output circle.  Every product of the triple lies in
+# degree deg a + deg b, or none does.
+
+
+def _load(labels: int, forbidden: int, free: list[int]) -> int | None:
+    """Bit i set where label set ``labels`` puts an X on free component i.
+
+    None when it puts one on a ``forbidden`` circle, or two on one free component.
+    """
+    if labels & forbidden:
+        return None
+    load = 0
+    for i, mask in enumerate(free):
+        count = (labels & mask).bit_count()
+        if count > 1:
+            return None
+        if count:
+            load |= 1 << i
+    return load
+
+
+@lru_cache(maxsize=1024)
+def _convolution(x: Weight, y: Weight, z: Weight) -> tuple | None:
+    """The alpha = +1 products of Hom(x, y) with Hom(y, z), or None if all vanish.
+
+    Returns (loads_a, loads_b, outs).  loads_a[i] is the load of element
+    i of Hom(x, y), and None if every product with it vanishes; loads_b
+    the same for Hom(y, z).  Loads that share a bit multiply to 0;
+    otherwise the product is outs[load_a | load_b], as ((k, coeff), ...)
+    with k a position in Hom(x, z), and empty if it is 0.
+    """
+    hxy, hyz, hxz = _ends(x, y), _ends(y, z), _ends(x, z)
+    # the components of the triple join those of Hom(x, y) and Hom(y, z)
+    comps = list(hxy.parts)
+    for part in hyz.parts:
+        rest = []
+        for comp in comps:
+            if comp & part:
+                part |= comp
+            else:
+                rest.append(comp)
+        comps = rest + [part]
+    # Lines of Hom(x, y) with both ends on m(y)'s rays, joined at those rays
+    # to lines of Hom(y, z) with both ends there, close a circle born with
+    # X when every ray of the chain is matched on both sides.
+    chains: list[tuple[int, int]] = [(top, 0) for bottom, top in hxy.lines if not bottom]
+    for bottom, top in hyz.lines:
+        if top:
+            continue
+        below, above, rest = 0, bottom, []
+        for xy, yz in chains:
+            if xy & bottom:
+                below, above = below | xy, above | yz
+            else:
+                rest.append((xy, yz))
+        chains = rest + [(below, above)]
+    born = sum(xy & -xy for xy, yz in chains if xy == yz)
+    rays_x, rays_z = sum(b for b, _ in hxy.lines), sum(t for _, t in hyz.lines)
+
+    forbid_a = forbid_b = always = 0  # X on an input circle kills; X always on an output
+    free: list[tuple[int, int, int]] = []  # components that take at most one X
+    handles = 0
+    for comp in comps:
+        ma, mb, mo = comp & hxy.circles, comp & hyz.circles, comp & hxz.circles
+        s, n_born = (comp & hxy.caps).bit_count(), (comp & born).bit_count()
+        ci, co = ma.bit_count() + mb.bit_count() + n_born, mo.bit_count()
+        rays = (comp & rays_x).bit_count() + (comp & rays_z).bit_count()
+        if rays:
+            if n_born or 2 * s != rays + 2 * (ci + co - 1):
+                return None
+        else:
+            g = (2 + s - ci - co) // 2
+            if n_born + g > 1:
+                return None
+            handles += g
+            if not n_born + g:
+                free.append((ma, mb, mo))
+                continue
+        forbid_a |= ma
+        forbid_b |= mb
+        always |= mo
+
+    loads_a = tuple(_load(labels, forbid_a, [ma for ma, _, _ in free]) for labels in hxy.labels)
+    loads_b = tuple(_load(labels, forbid_b, [mb for _, mb, _ in free]) for labels in hyz.labels)
+    # {load: an element carrying it}; the load fixes the number of X's, so the degree
+    carriers_a, carriers_b = ({load: i for i, load in enumerate(loads) if load is not None}
+                              for loads in (loads_a, loads_b))
+    outs: list[tuple | None] = [None] * (1 << len(free))  # None until a pair reaches it
+    for load_a, i in carriers_a.items():
+        for load_b, j in carriers_b.items():
+            load = load_a | load_b
+            if load_a & load_b or outs[load] is not None:
+                continue
+            keys = [always]
+            for f, (_, _, mo) in enumerate(free):
+                if load >> f & 1:
+                    keys = [key | mo for key in keys]
+                else:
+                    keys = [key | mo ^ bit for key in keys for bit in _bits(mo)]
+            if keys and not any(outs):
+                # one nonzero product decides the degree of every product of the
+                # triple: this is the movie's ``zero`` flag
+                k = hxz.at.get(keys[0])
+                if k is None or hxz.degrees[k] != hxy.degrees[i] + hyz.degrees[j]:
+                    return None
+            outs[load] = tuple(sorted((hxz.at[key], 1 << handles) for key in keys))
+    return (loads_a, loads_b, tuple(outs)) if any(outs) else None
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, each as an int of its own."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+# ---------------------------------------------------------------------------
 # public products
 
 
@@ -440,23 +611,26 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
     movie = _compile_movie(x, y, z, cup_order)
     out: dict[BasisElement, int] = {}
     if not movie.zero:
-        (la, pa), (lb, pb) = _ends(x, y)[0][ba], _ends(y, z)[0][bb]
-        odd = {"plus": 0, "minus": pa + pb + movie.twist, "nested": movie.flip}[mode]
-        terms = _fold(movie.events, mode == "nested", {la | lb << 1: (-1) ** odd})
-        element_of = _ends(x, z)[1] if terms else {}
+        hxy, hyz = _ends(x, y), _ends(y, z)
+        ia, ib = hxy.index[ba], hyz.index[bb]
+        odd = {"plus": 0, "minus": hxy.parities[ia] + hyz.parities[ib] + movie.twist,
+               "nested": movie.flip}[mode]
+        terms = _fold(movie.events, mode == "nested",
+                      {hxy.labels[ia] | hyz.labels[ib] << 1: (-1) ** odd})
+        hxz = _ends(x, z) if terms else None
         for labels, c in terms.items():
             try:
-                b, flips = element_of[labels]
+                k = hxz.at[labels]
             except KeyError:
                 raise RuntimeError(f"the movie {x} | {y} | {z} survives, but Hom({x}, {z}) "
                                    f"has no element with label set {labels:#b}") from None
-            out[b] = -c if mode == "minus" and flips else c
+            out[hxz.elements[k]] = -c if mode == "minus" and hxz.parities[k] else c
     return AlgebraElement(x, z, out)
 
 
 def clear_caches() -> None:
-    """Empty the compiled movies and the memos of bases, their label sets and m(w)."""
-    for memo in (_compile_movie, _ends, basis, weight_to_m):
+    """Empty the convolutions, the compiled movies and the memos of Hom spaces, bases and m(w)."""
+    for memo in (_convolution, _compile_movie, _ends, basis, weight_to_m):
         memo.cache_clear()
 
 
@@ -591,19 +765,77 @@ def _composable(els: tuple[BasisElement, ...]):
     return ((i, j) for i, a in enumerate(els) for j in by_src.get(a.tgt, ()))
 
 
+def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
+                 order: tuple[tuple[int, int], ...], index: list[int]) -> list | None:
+    """The products of Hom(x, y) with Hom(y, z), or None if all vanish.
+
+    Row i lists (j, ((index[k], coeff), ...)) for element i of Hom(x, y)
+    and each element j of Hom(y, z) whose product with it is nonzero.
+    ``index`` is the slice of the table's indices that Hom(x, z) takes.
+    The convolution decides which triples are live.  Plus mode reads its
+    products off it, and minus mode multiplies them by one sign per pair,
+    (-1)**(pa + pb + twist), and negates the terms of odd parity, as
+    ``_multiply_basis`` does.  Nested mode folds every pair of a live
+    triple through the movie.
+    """
+    kernel = _convolution(x, y, z)
+    if kernel is None:
+        return None
+    loads_a, loads_b, outs = kernel
+    if mode == "plus":
+        shifted = [terms and tuple((index[k], c) for k, c in terms) for terms in outs]
+        return [[] if la is None else
+                [(j, terms) for j, lb in enumerate(loads_b)
+                 if lb is not None and not la & lb and (terms := shifted[la | lb])]
+                for la in loads_a]
+    hxy, hyz, hxz = _ends(x, y), _ends(y, z), _ends(x, z)
+    if mode == "nested":
+        return [[(j, terms) for j, b in enumerate(hyz.elements)
+                 if (terms := tuple(sorted((index[hxz.index[t]], c) for t, c in
+                                           _multiply_basis(a, b, mode, order).terms.items())))]
+                for a in hxy.elements]
+    twist = _compile_movie(x, y, z, order).twist
+    signed = [terms and (tuple((index[k], -c if hxz.parities[k] else c) for k, c in terms),
+                         tuple((index[k], c if hxz.parities[k] else -c) for k, c in terms))
+              for terms in outs]
+    b_side = list(enumerate(zip(loads_b, hyz.parities)))
+    return [[] if la is None else
+            [(j, pair[(pa + pb + twist) % 2]) for j, (lb, pb) in b_side
+             if lb is not None and not la & lb and (pair := signed[la | lb])]
+            for la, pa in zip(loads_a, hxy.parities)]
+
+
 def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
                     mode: str | None = None) -> StructureTable:
-    """All pairwise products of basis elements (zero/uncomposable pairs omitted)."""
+    """All pairwise products of basis elements (zero/uncomposable pairs omitted).
+
+    Weight triples are visited x, then y, then z, and each live triple
+    fills its rows; products still come in composable order.
+    """
     the_mode = _mode(alpha, mode)
     weights, els = algebra_basis(shape, standard_only)
-    index = {b: i for i, b in enumerate(els)}
-    orders = {y: canonical_order(weight_to_m(y)) for y in weights}
+    # indices[x][y]: the table indices of Hom(x, y), one int object each,
+    # shared by every key and term (x, y positions in ``weights``)
+    indices: list[list[list[int]]] = []
+    position = 0
+    for x in weights:
+        indices.append([])
+        for y in weights:
+            size = len(basis(x, y))
+            indices[-1].append(list(range(position, position + size)))
+            position += size
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for i, j in _composable(els):
-        a, b = els[i], els[j]
-        prod = _multiply_basis(a, b, the_mode, orders[a.tgt])
-        if prod.terms:
-            products[(i, j)] = tuple(sorted((index[t], c) for t, c in prod.terms.items()))
+    for x, from_x in zip(weights, indices):
+        for y, from_y, first in zip(weights, indices, from_x):
+            if not first:
+                continue
+            order = canonical_order(weight_to_m(y))
+            live = [(second, rows) for z, second, out in zip(weights, from_y, from_x)
+                    if second and (rows := _triple_rows(x, y, z, the_mode, order, out))]
+            for i, a in enumerate(first):
+                for second, rows in live:
+                    for j, terms in rows[i]:
+                        products[a, second[j]] = terms
     return StructureTable(shape, alpha, weights, els, products)
 
 

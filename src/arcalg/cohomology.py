@@ -20,7 +20,7 @@ from math import comb
 
 from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, StandardTableau,
                        ValidationError, Weight, _component_choices, diagram_of,
-                       epsilon, tableau_to_cup, weight_to_m)
+                       tableau_to_cup, weight_to_m)
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,8 @@ def _glued_intersection(w: Weight, wp: Weight) -> tuple[
     circles = z.circles()
     images: list[tuple[tuple[int, int], ...]] = [()] * w.n
     for comp in circles:
-        for i in comp.vertices:
-            images[i - 1] = ((comp.leftmost, epsilon(z, i, comp.leftmost)),)
+        for i in comp.vertices:  # epsilon(z, i, leftmost), read off the circle in hand
+            images[i - 1] = ((comp.leftmost, (-1) ** (i + comp.leftmost)),)
     return z, (RingPresentation(tuple(c.leftmost for c in circles)),
                PullbackMap(w.n, tuple(images)))
 

@@ -5,7 +5,9 @@ the package (networkx multigraphs, bit-parallel enumeration, brute-force
 closures) so that agreement is a genuine cross-check rather than the
 same code run twice.  The exceptions are the package's earlier engines,
 kept as references: the surgery movie, against which the compiled movie
-is compared step for step, exact elimination over Fraction with a
+is compared step for step, the compiled movie's pair-by-pair table,
+against which the tables read off each triple's components are
+compared, exact elimination over Fraction with a
 Bareiss determinant, against which the pullback ranks, kernels and the
 K0 determinant read off their structure are compared, and the ordered
 scan of every composable triple, against which the sparse associativity
@@ -19,7 +21,9 @@ from functools import lru_cache
 import networkx as nx
 
 from arcalg.arc_algebra import (AlgebraElement, BasisElement, CheckResult,
-                                StructureTable, canonical_order, diagram_of)
+                                StructureTable, _composable, _mode, _multiply_basis,
+                                algebra_basis, canonical_order, diagram_of)
+from arcalg.diagrams import Shape
 from arcalg.diagrams import (CIRCLE, DOWN, LINE, UP, Component, Weight,
                              weight_to_m)
 
@@ -803,6 +807,25 @@ def movie_product_oracle(ba: BasisElement, bb: BasisElement, mode: str,
         be = BasisElement(x, z, v)
         out[be] = out.get(be, 0) + coeff
     return {b: c for b, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# the package's earlier table builder: every composable pair through the movie
+
+
+def movie_table_oracle(shape: Shape, alpha: int, mode: str | None = None) -> StructureTable:
+    """structure_table(shape, alpha, mode=mode), one compiled movie fold per composable pair."""
+    the_mode = _mode(alpha, mode)
+    weights, els = algebra_basis(shape)
+    index = {b: i for i, b in enumerate(els)}
+    orders = {y: canonical_order(weight_to_m(y)) for y in weights}
+    products = {}
+    for i, j in _composable(els):
+        a, b = els[i], els[j]
+        prod = _multiply_basis(a, b, the_mode, orders[a.tgt])
+        if prod.terms:
+            products[(i, j)] = tuple(sorted((index[t], c) for t, c in prod.terms.items()))
+    return StructureTable(shape, alpha, weights, els, products)
 
 
 # ---------------------------------------------------------------------------

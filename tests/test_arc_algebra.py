@@ -16,7 +16,7 @@ from arcalg.diagrams import (UP, Shape, ValidationError, Weight, diagram_of,
                              enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
 from oracles import (_is_high, associativity_scan_oracle, component_census_oracle,
-                     direct_product_oracle)
+                     direct_product_oracle, movie_table_oracle)
 
 W = Weight.parse
 NXT = W("v^v^")
@@ -263,13 +263,6 @@ def _negate(el):
     return AlgebraElement(el.src, el.tgt, {t: -c for t, c in el.terms.items()})
 
 
-def _add_wrong_degree_term(el):
-    a, b = PAIR
-    want = degree(a) + degree(b)
-    t = next(t for t in basis(el.src, el.tgt) if degree(t) != want)
-    return AlgebraElement(el.src, el.tgt, {**el.terms, t: el.terms.get(t, 0) + 1})
-
-
 @pytest.mark.parametrize("check, args, corrupt, when, detail", [
     (check_nested_agreement, (), _negate,
      lambda mode, order: mode == "nested", ": nested - x1 + x2 != alpha=-1 x1 - x2"),
@@ -277,10 +270,6 @@ def _add_wrong_degree_term(el):
      lambda mode, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 + x2 != x1 - x2"),
     (check_order_independence, (1,), _negate,
      lambda mode, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 - x2 != x1 + x2"),
-    (check_degree_additivity, (1,), _add_wrong_degree_term,
-     lambda mode, order: True, " term=[vv^^|vv^^|"),
-    (check_degree_additivity, (-1,), _add_wrong_degree_term,
-     lambda mode, order: True, " term=[vv^^|vv^^|"),
 ])
 def test_checks_fail_on_one_corrupted_product(monkeypatch, check, args, corrupt, when, detail):
     real = arc_algebra._multiply_basis
@@ -296,19 +285,44 @@ def test_checks_fail_on_one_corrupted_product(monkeypatch, check, args, corrupt,
     assert res.witness.startswith(f"a={a} b={b}{detail}"), res.witness
 
 
+def _corrupt_pair_in_tables(monkeypatch, corrupt):
+    """Every table arc_algebra builds carries corrupt(table, terms) as PAIR's product."""
+    real = arc_algebra.structure_table
+
+    def fake(*args, **kwargs):
+        table = real(*args, **kwargs)
+        key = tuple(table.index(b) for b in PAIR)
+        return dataclasses.replace(
+            table, products={**table.products, key: corrupt(table, table.products[key])})
+
+    monkeypatch.setattr(arc_algebra, "structure_table", fake)
+
+
+def _add_wrong_degree_term(table, terms):
+    a, b = PAIR
+    want = degree(a) + degree(b)
+    t = table.index(next(t for t in basis(a.src, b.tgt) if degree(t) != want))
+    out = dict(terms)
+    out[t] = out.get(t, 0) + 1
+    return tuple(sorted((k, c) for k, c in out.items() if c))
+
+
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_degree_additivity_fails_on_one_corrupted_product(monkeypatch, alpha):
+    _corrupt_pair_in_tables(monkeypatch, _add_wrong_degree_term)
+    res = check_degree_additivity(Shape(4, 2), alpha)
+    a, b = PAIR
+    assert not res.ok
+    assert res.witness.startswith(f"a={a} b={b} term=[vv^^|vv^^|"), res.witness
+
+
 def test_check_associativity_fails_on_one_corrupted_product(monkeypatch):
-    real = arc_algebra._multiply_basis
-
-    def fake(ba, bb, mode, cup_order):
-        prod = real(ba, bb, mode, cup_order)
-        return _negate(prod) if (ba, bb) == PAIR and mode == "plus" else prod
-
-    monkeypatch.setattr(arc_algebra, "_multiply_basis", fake)
+    _corrupt_pair_in_tables(monkeypatch, lambda table, terms: tuple((k, -c) for k, c in terms))
     res = check_associativity(Shape(4, 2), 1)
     b, c = PAIR
     assert not res.ok
     assert f" b={b} c={c}: " in res.witness, res.witness
-    assert res == associativity_scan_oracle(structure_table(Shape(4, 2), 1))
+    assert res == associativity_scan_oracle(arc_algebra.structure_table(Shape(4, 2), 1))
 
 
 @pytest.mark.parametrize("alpha", [1, -1])
@@ -400,22 +414,37 @@ def test_plus_product_matches_direct_oracle_4_2():
                 assert {str(t.orient): c for t, c in got.terms.items()} == want
 
 
+@pytest.mark.parametrize("kwargs", [{"alpha": 1}, {"alpha": -1}, {"alpha": -1, "mode": "nested"}],
+                         ids=["plus", "minus", "nested"])
+@pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 8) for k in range(n // 2 + 1)],
+                         ids=str)
+def test_table_matches_the_movie_pair_by_pair(shape, kwargs):
+    # alpha +-1 read off each triple's components, nested folded per live triple
+    arc_algebra.clear_caches()
+    assert structure_table(shape, **kwargs).to_json() == movie_table_oracle(shape, **kwargs).to_json()
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_end_label_sets_match_the_component_census(n):
     # Bit 2c is set for each census circle with leftmost point c that is up;
     # the parity is that of the sum of those c.
     for k in range(n // 2 + 1):
         for x, y in itertools.product(weights_of(n, k), repeat=2):
-            ends, back = arc_algebra._ends(x, y)
+            hom = arc_algebra._ends(x, y)
             els = basis(x, y)
-            lefts = [verts[0] for kind, verts in component_census_oracle(x, y)
-                     if kind == "circle"]
-            assert ends.keys() == set(els)
-            for b in els:
+            census = component_census_oracle(x, y)
+            lefts = [verts[0] for kind, verts in census if kind == "circle"]
+            assert hom.elements == els
+            for i, b in enumerate(els):
                 up = [c for c in lefts if b.orient.mark(c) == UP]
-                assert ends[b] == (sum(1 << 2 * c for c in up), sum(up) % 2), str(b)
-            assert len(back) == len(els) and {b for b, _ in back.values()} == set(els)
-            assert all(ends[b] == (labels, parity) for labels, (b, parity) in back.items())
+                assert (hom.labels[i], hom.parities[i]) == (sum(1 << 2 * c for c in up),
+                                                            sum(up) % 2), str(b)
+                assert hom.degrees[i] == degree(b) and hom.index[b] == i
+            assert hom.at == {labels: i for i, labels in enumerate(hom.labels)}
+            assert len(hom.at) == len(els)
+            assert hom.circles == sum(1 << 2 * c for c in lefts)
+            assert sorted(hom.parts) == sorted(sum(1 << 2 * v for v in verts)
+                                               for _, verts in census)
     arc_algebra.clear_caches()
 
 
@@ -423,28 +452,33 @@ def test_surviving_movie_into_an_empty_hom_space_raises(monkeypatch):
     a, b = one(NESTED, NXT), one(NXT, NESTED)
     assert not multiply(a, b).is_zero()
     real = arc_algebra._ends
-    monkeypatch.setattr(arc_algebra, "_ends",
-                        lambda x, y: ({}, {}) if (x, y) == (NESTED, NESTED) else real(x, y))
+    empty = {"elements": (), "labels": (), "parities": (), "degrees": (), "index": {}, "at": {}}
+    monkeypatch.setattr(arc_algebra, "_ends", lambda x, y: real(x, y)._replace(**empty)
+                        if (x, y) == (NESTED, NESTED) else real(x, y))
     with pytest.raises(RuntimeError, match="survives"):
         multiply(a, b)
 
 
 # --- memos ---------------------------------------------------------------------------
 
+MEMOS = (arc_algebra._convolution, arc_algebra._compile_movie, arc_algebra._ends,
+         arc_algebra.basis, weight_to_m)
+
+
 def test_clear_caches_empties_every_memo():
     a = one(NESTED, NXT)
     b = one(NXT, NESTED)
     want = multiply(a, b, -1)
-    memos = (arc_algebra._compile_movie, arc_algebra._ends, arc_algebra.basis, weight_to_m)
-    assert all(m.cache_info().currsize for m in memos)
+    table = structure_table(Shape(4, 2), -1)
+    assert all(m.cache_info().currsize for m in MEMOS)
     arc_algebra.clear_caches()
-    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+    assert [m.cache_info().currsize for m in MEMOS] == [0] * len(MEMOS)
     assert multiply(a, b, -1) == want
+    assert structure_table(Shape(4, 2), -1) == table
 
 
 def test_memos_are_bounded():
-    memos = (arc_algebra._compile_movie, arc_algebra._ends, arc_algebra.basis, weight_to_m)
-    assert all(m.cache_info().maxsize is not None for m in memos)
+    assert all(m.cache_info().maxsize is not None for m in MEMOS)
 
 
 # --- integrality and tables ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -187,6 +188,28 @@ def test_scripts_run_the_smallest_range(tmp_path):
     assert proc.returncode == 0 and proc.stdout.count("(2,1)") == 9
     proc = run_script("export_tables.py", "--max-n", "2", "--out-dir", str(tmp_path))
     assert proc.returncode == 0 and proc.stdout == "wrote shape (2,1)\n"
+
+
+def test_bench_jobs_runs_the_smallest_jobs(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("bench_jobs.py", "--shapes", "4,2", "--repeat", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    runs = {(r["job"], r["alpha"]): r for r in report["runs"]}
+    assert len(report["runs"]) == len(runs) == 4 and len(report["summary"]) == 4
+    for alpha in (1, -1):
+        table = structure_table(Shape(4, 2), alpha).to_json().encode()
+        assert runs["structure_table", alpha]["sha256"] == hashlib.sha256(table).hexdigest()
+    assert runs["check_associativity", 1]["ok"] and not runs["check_associativity", -1]["ok"]
+    assert all(r["wall_s"] > 0 and r["peak_rss_mb"] > 0 for r in report["runs"])
+
+
+@pytest.mark.parametrize("argv", [["--shapes", "4,3"], ["--shapes", "four"], ["--repeat", "0"]])
+def test_bench_jobs_refuses_bad_input(argv, tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("bench_jobs.py", *argv, "--out", str(out))
+    assert proc.returncode == 1 and proc.stdout == "" and "error: " in proc.stderr
+    assert not out.exists()
 
 
 def _count_table_builds(monkeypatch, module):
