@@ -251,6 +251,7 @@ class _Hom(NamedTuple):
 
 
 def _mask(columns) -> int:
+    """Bit 2c for each column c."""
     return sum(1 << 2 * c for c in columns)
 
 
@@ -555,7 +556,7 @@ def _convolution(x: Weight, y: Weight, z: Weight) -> tuple | None:
 
     loads_a = tuple(_load(labels, forbid_a, [ma for ma, _, _ in free]) for labels in hxy.labels)
     loads_b = tuple(_load(labels, forbid_b, [mb for _, mb, _ in free]) for labels in hyz.labels)
-    # {load: an element carrying it}; the load fixes the number of X's, so the degree
+    # one element per load: the load fixes its number of X's, hence its degree
     carriers_a, carriers_b = ({load: i for i, load in enumerate(loads) if load is not None}
                               for loads in (loads_a, loads_b))
     outs: list[tuple | None] = [None] * (1 << len(free))  # None until a pair reaches it
@@ -821,7 +822,7 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
     for x in weights:
         indices.append([])
         for y in weights:
-            size = len(basis(x, y))
+            size = len(_ends(x, y).elements)
             indices[-1].append(list(range(position, position + size)))
             position += size
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
