@@ -7,42 +7,18 @@ the role of X, with the dictionary "X on a circle = the generator x_i at
 the circle's leftmost point i" tying everything to the ring presentations
 in :mod:`arcalg.cohomology`.
 
-Multiplication stacks two diagrams and contracts the shared middle
-diagram one cup or ray at a time (a movie).  Ray columns are joined
-first; cups are surgered outermost-first (surgering an inner cup before
-an outer one would thread vertical strands through a still-present cup
-and destroy planarity, and with it the sign rules).  The movie's topology
-is compiled once per weight triple and cup order into a list of events
-(merge, split, birth of a circle, a circle meeting a line).  It names
-each component by its lowest node, so a basis element's label set, read
-once per Hom space, is a valid start or end of every movie with no
-translation.  A label pass folds the events for each pair of basis
-elements under one of two rule sets:
-
-* Frobenius  Khovanov's Z[X]/(X^2): merge m, split 1 -> X(x)1 + 1(x)X;
-  this is the associative ``alpha=+1`` product.  The ``alpha=-1``
-  product, the raw geometric rules in z-coordinates (z_i = (-1)**i x_i),
-  is non-associative, and each of its rules multiplies every term of a
-  step by one sign: (-1)**(left end) at a split or a pinched-off circle,
-  (-1)**(ray+1) at a ray closing.  So it is the Frobenius product times
-  one sign per movie, read at both ends in z-coordinates.
-* nested     the embedded TQFT which dispatches merges/splits on circle
-  nesting (m, Delta for disjoint circles; m', Delta' with the outer
-  circle first for nested ones).  It agrees with ``alpha=-1``.
-
-Surgeries touching lines follow the graded rules: a saddle joining or
-reconnecting two line segments is the identity when both vanishing arcs
-are counter-clockwise (down mark at their left ends) and kills the
-product otherwise (mismatched marks or clockwise arcs).
+The product of two basis elements runs the surgery movie of
+:mod:`arcalg._movie`, under the Frobenius or the nested rules.
 
 Structure tables run no movie at alpha = +-1.  After the last surgery
 every column carries a vertical strand, so the whole cobordism of a
 weight triple (x, y, z) is fixed by the components of m(x), m(y) and
 m(z) drawn together: the convolution reads every alpha = +1 product of
 the triple off per-component counts, once per triple, and alpha = -1 is
-that product times (-1)**(pa + pb + twist) with the output parities, as
-above.  The movie serves nested mode, explicit cup orders, ``multiply``
-and the twist, and is the reference the tables are tested against.
+that product times (-1)**(pa + pb + twist) with the output parities; the
+twist is read off a walk that follows only which nodes of the movie
+meet.  The movie serves nested mode, explicit cup orders and
+``multiply``, and is the reference the tables are tested against.
 
 Everything is pure.  The exhaustive checks at the bottom scan composable
 basis pairs in a fixed order and report the first failure.  Associativity
@@ -57,8 +33,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, DOWN, Shape, UP,
-                       ValidationError, Weight, _cup_depths, diagram_of,
+from ._movie import _compile_movie, _fold, _twist, canonical_order, cup_orders
+from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, Shape, UP,
+                       ValidationError, Weight, diagram_of,
                        enumerate_standard, enumerate_weights, orientation_degree,
                        orientations, render_circle_diagram, weight_of_tableau,
                        weight_sort_key, weight_to_m)
@@ -158,74 +135,7 @@ def low_element(x: Weight, y: Weight) -> AlgebraElement | None:
 
 
 # ---------------------------------------------------------------------------
-# cup orders
-
-
-def canonical_order(mid: CupDiagram) -> tuple[tuple[int, int], ...]:
-    """Outermost cups first; left to right among incomparable ones."""
-    depths = _cup_depths(mid)
-    return tuple(sorted(mid.cups, key=lambda c: (depths[c], c[0])))
-
-
-def cup_orders(mid: CupDiagram):
-    """All total cup orders processing containing cups before contained ones."""
-    def rec(remaining: list, done: list):
-        if not remaining:
-            yield tuple(done)
-            return
-        for c in remaining:
-            if not any(mid.contains_cup(other, c) for other in remaining):
-                yield from rec([o for o in remaining if o != c], done + [c])
-
-    yield from rec(list(mid.cups), [])
-
-
-def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...]:
-    if order is None:
-        return canonical_order(mid)
-    order = tuple(tuple(c) for c in order)
-    if sorted(order) != sorted(mid.cups):
-        raise OrderError(f"order {order} does not list the cups of {mid.cups}")
-    for pos, cup in enumerate(order):
-        for later in order[pos + 1:]:
-            if mid.contains_cup(later, cup):
-                raise OrderError(f"cup {later} contains {cup} but is surgered after it")
-    return order
-
-
-# ---------------------------------------------------------------------------
-# the movie, structural pass: compiled once per (x, y, z, cup order)
-#
-# Layer 0 holds the first factor (cups of m(x), caps of m(y)), layer 1 the
-# second (cups of m(y), caps of m(z)); column c of layer h is node 2c + h.
-# No node meets more than two edges, so a component is a path (a line,
-# ending in rays) or a cycle (a circle).  Arcs join columns of opposite
-# parity and flip the mark, the vertical strands left by the surgeries keep
-# both, so along a component the mark flips exactly with the column parity.
-
-# events: a circle born with X (a ray closing or a circle pinched off a
-# line; it carries its nested-mode sign), a circle meeting a line, two
-# circles merging, a circle splitting
-_BIRTH, _KILL, _MERGE, _SPLIT = range(4)
-
-
-class _CompiledMovie(NamedTuple):
-    """Everything about one movie that does not depend on the basis pair.
-
-    A component's id is its lowest node, and a label set is a bitmask with
-    bit ``id`` set for each circle carrying X.  ``zero`` is set when a line
-    reconnects through a clockwise or mismatched arc, which kills every
-    product.  ``parity`` is that of the sum of left ends over the
-    splitting and pinching cups, and ``flip`` whether it differs from the
-    canonical order's.  ``twist`` is the exponent of the product of the
-    alpha = -1 event signs at the canonical order.
-    """
-
-    zero: bool
-    events: tuple
-    parity: int
-    flip: bool
-    twist: int
+# Hom spaces: read once per weight pair
 
 
 class _Hom(NamedTuple):
@@ -273,188 +183,6 @@ def _ends(x: Weight, y: Weight) -> _Hom:
                 tuple((_mask(comp.bottom_rays), _mask(comp.top_rays))
                       for comp in z.components if comp.kind != CIRCLE),
                 _mask(a for a, _ in z.top.cups))
-
-
-@lru_cache(maxsize=1024)
-def _compile_movie(x: Weight, y: Weight, z: Weight,
-                   cup_order: tuple[tuple[int, int], ...]) -> _CompiledMovie:
-    """Classify every step of the movie.
-
-    m(y)'s ray columns are linked before the one walk that registers
-    every component; its cups are then surgered in ``cup_order``, and
-    only the components a surgery touches are walked again.  A circle of
-    that walk through a ray column was closed by the ray joins and is
-    born with X; its smallest ray column gives the birth's sign and its
-    share of the twist.  A component's id is its lowest node: a circle of
-    Hom(x, y) with leftmost point c has id 2c and one of Hom(y, z) id
-    2c + 1; after the last surgery every column is a strand, so a circle
-    of Hom(x, z) has id 2c again.
-    """
-    mx, my, mz = weight_to_m(x), weight_to_m(y), weight_to_m(z)
-    size = 2 * x.n + 2
-    adj: list[list[int]] = [[] for _ in range(size)]
-
-    def link(p: int, q: int) -> None:
-        adj[p].append(q)
-        adj[q].append(p)
-
-    for level, cups in ((0, mx.cups), (0, my.cups), (1, my.cups), (1, mz.cups)):
-        for a, b in cups:
-            link(2 * a + level, 2 * b + level)
-    for r in my.rays:  # ray columns are joined before any walk
-        link(2 * r, 2 * r + 1)
-    # the only arcs below layer 0 and above layer 1, which no surgery touches
-    outer_arcs = ([(2 * a, 2 * b) for a, b in mx.cups],
-                  [(2 * a + 1, 2 * b + 1) for a, b in mz.cups])
-    forced = {2 * r: x.mark(r) for r in mx.rays}
-    forced.update({2 * r + 1: z.mark(r) for r in mz.rays})
-    owner = [-1] * size
-    comps: list = [None] * size  # per id: nodes, is a line
-
-    def register(start: int) -> int:
-        nodes = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in nodes:
-                    nodes.add(w)
-                    stack.append(w)
-        cid = min(nodes)
-        for v in nodes:
-            owner[v] = cid
-        # a line ends where a node lacks one of its two edges
-        comps[cid] = (nodes, any(len(adj[v]) < 2 for v in nodes))
-        return cid
-
-    def inside(p: int, q: int) -> bool:
-        """Whether circle p lies inside circle q.
-
-        A ray shot from node p, down from layer 0 or up from layer 1, meets
-        only m(x)'s cups or only m(z)'s caps; p is inside q when it meets
-        an odd number of q's.
-        """
-        nodes = comps[q][0]
-        return sum(1 for a, b in outer_arcs[p & 1] if a < p < b and a in nodes) % 2 == 1
-
-    def down_at(cid: int, v: int) -> bool:
-        """Whether line ``cid`` is down at node v, read off its bottom-layer, leftmost ray end."""
-        start = min((u for u in comps[cid][0] if u in forced), key=lambda u: (u & 1, u))
-        # bit 1 of a node is the parity of its column
-        return (forced[start] == DOWN) != bool((v ^ start) & 2)
-
-    events: list[tuple] = []
-    twist = 0
-    for v in range(2, size):
-        if owner[v] < 0:
-            g = register(v)
-            nodes, is_line = comps[g]
-            rays = [u >> 1 for u in nodes if u >> 1 in my.rays]
-            if rays and not is_line:  # the ray joins closed a circle, born with X
-                ray = min(rays)
-                twist += ray + 1
-                events.append((_BIRTH, 1 << g, (-1) ** (ray + 1 + (g >> 1))))
-
-    parity = 0
-    zero = False
-    for i, j in cup_order:
-        li, ui, lj, uj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-        a, b = owner[ui], owner[li]
-        a_line, b_line = comps[a][1], comps[b][1]
-        # read before rewiring: marks where lines meet, nesting of merging circles
-        clockwise = a_line and b_line and not (down_at(a, ui) and down_at(b, li))
-        inner = 0
-        if a != b and not (a_line or b_line):
-            inner = 1 << a if inside(a, b) else 1 << b if inside(b, a) else 0
-        adj[li].remove(lj)
-        adj[lj].remove(li)
-        adj[ui].remove(uj)
-        adj[uj].remove(ui)
-        link(li, ui)
-        link(lj, uj)
-        gi = register(ui)
-        gj = gi if uj in comps[gi][0] else register(uj)
-        if a != b:
-            if a_line and b_line:  # two line segments reconnect
-                zero = zero or clockwise
-            elif a_line or b_line:
-                events.append((_KILL, 1 << (b if a_line else a)))
-            else:
-                events.append((_MERGE, 1 << a, 1 << b, 1 << gi, inner))
-        elif not a_line:
-            if gi == gj:
-                raise RuntimeError("self-saddle failed to split a circle (non-planar state)")
-            parity += i
-            outer = 1 << gj if inside(gi, gj) else 1 << gi if inside(gj, gi) else 0
-            events.append((_SPLIT, 1 << a, 1 << gi, 1 << gj, outer))
-        else:
-            born = [g for g in (gi, gj) if not comps[g][1]]
-            if born:  # a circle pinches off the line, born with X
-                parity += i
-                events.append((_BIRTH, 1 << born[0], (-1) ** (i + (born[0] >> 1))))
-            else:  # the line reconnects with itself
-                zero = zero or clockwise
-
-    parity %= 2
-    if zero:
-        return _CompiledMovie(True, (), parity, False, 0)
-    reference = canonical_order(my)
-    canonical = parity if cup_order == reference else _compile_movie(x, y, z, reference).parity
-    return _CompiledMovie(False, tuple(events), parity, parity != canonical,
-                          (twist + canonical) % 2)
-
-
-# ---------------------------------------------------------------------------
-# the movie, label pass: once per basis pair
-
-
-def _fold(events: tuple, nested: bool, terms: dict[int, int]) -> dict[int, int]:
-    """Apply the movie's events to {label bitmask: coeff}.
-
-    Merges use m (X.X = 0) and splits Delta (X -> X(x)X, 1 -> X(x)1 +
-    1(x)X); a circle is born with X.  ``nested`` selects the embedded
-    TQFT instead: m', under which an X on the inner of two nested circles
-    merges to -X; Delta', which negates every term except the one putting
-    X on the outer of two nested pieces; and a sign at each birth.
-    """
-    for event in events:
-        kind = event[0]
-        if kind == _BIRTH:
-            g, f = event[1], event[2] if nested else 1
-            terms = {labels | g: c * f for labels, c in terms.items()}
-        elif kind == _KILL:
-            terms = {labels: c for labels, c in terms.items() if not labels & event[1]}
-        else:
-            out: dict[int, int] = {}
-            if kind == _MERGE:
-                _, a, b, g, inner = event
-                for labels, c in terms.items():
-                    has_a, has_b = labels & a, labels & b
-                    if has_a and has_b:
-                        continue  # X * X = 0
-                    rest = labels & ~(a | b)
-                    if has_a or has_b:
-                        rest |= g
-                        if nested and labels & inner:
-                            c = -c  # m': 1 (x) X_inner -> -X
-                    out[rest] = out.get(rest, 0) + c
-            else:
-                _, a, gi, gj, outer = event
-                if nested:
-                    fx, fi, fj = -1, 1 if gi == outer else -1, 1 if gj == outer else -1
-                else:
-                    fx = fi = fj = 1
-                for labels, c in terms.items():
-                    rest = labels & ~a
-                    if labels & a:
-                        new = ((rest | gi | gj, c * fx),)
-                    else:
-                        new = ((rest | gi, c * fi), (rest | gj, c * fj))
-                    for key, value in new:
-                        out[key] = out.get(key, 0) + value
-            terms = {labels: c for labels, c in out.items() if c}
-        if not terms:
-            break
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +330,10 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
     The fold starts at ``ba``'s label set and ``bb``'s shifted into layer
     1, and ends in ``_ends(x, z)``.  Each alpha = -1 rule multiplies every
     term of a step by one sign, so minus mode folds the plus rules, times
-    the movie's twist and the parities that turn leftmost-x classes into
-    z-classes (z_i = (-1)**i x_i) at both ends.  The twist, and the flip
-    of a nested product, use the split parity of the canonical order: on
-    movies with handles (first possible at n = 6) the splitting cups vary
-    with the order.
+    the twist and the parities that turn leftmost-x classes into z-classes
+    (z_i = (-1)**i x_i) at both ends.  The twist, and the flip of a nested
+    product, are taken at the canonical order: on movies with handles
+    (first possible at n = 6) the splitting cups vary with the order.
     """
     x, y, z = ba.src, ba.tgt, bb.tgt
     movie = _compile_movie(x, y, z, cup_order)
@@ -614,8 +341,9 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
     if not movie.zero:
         hxy, hyz = _ends(x, y), _ends(y, z)
         ia, ib = hxy.index[ba], hyz.index[bb]
-        odd = {"plus": 0, "minus": hxy.parities[ia] + hyz.parities[ib] + movie.twist,
-               "nested": movie.flip}[mode]
+        odd = 0 if mode == "plus" else movie.flip
+        if mode == "minus":  # the twist at the canonical order: this order's, flipped back
+            odd += hxy.parities[ia] + hyz.parities[ib] + _twist(x, y, z, cup_order)
         terms = _fold(movie.events, mode == "nested",
                       {hxy.labels[ia] | hyz.labels[ib] << 1: (-1) ** odd})
         hxz = _ends(x, z) if terms else None
@@ -630,8 +358,8 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
 
 
 def clear_caches() -> None:
-    """Empty the convolutions, the compiled movies and the memos of Hom spaces, bases and m(w)."""
-    for memo in (_convolution, _compile_movie, _ends, basis, weight_to_m):
+    """Empty every memo: convolutions, compiled movies, twists, Hom spaces, bases and m(w)."""
+    for memo in (_convolution, _compile_movie, _twist, _ends, basis, weight_to_m):
         memo.cache_clear()
 
 
@@ -661,6 +389,19 @@ def _expand(terms: dict, product) -> dict:
         for b, c in product(t).items():
             out[b] = out.get(b, 0) + coeff * c
     return {b: c for b, c in out.items() if c}
+
+
+def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...]:
+    if order is None:
+        return canonical_order(mid)
+    order = tuple(tuple(c) for c in order)
+    if sorted(order) != sorted(mid.cups):
+        raise OrderError(f"order {order} does not list the cups of {mid.cups}")
+    for pos, cup in enumerate(order):
+        for later in order[pos + 1:]:
+            if mid.contains_cup(later, cup):
+                raise OrderError(f"cup {later} contains {cup} but is surgered after it")
+    return order
 
 
 def _compose(a: AlgebraElement, b: AlgebraElement, mode: str, order) -> AlgebraElement:
@@ -775,9 +516,9 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
     ``index`` is the slice of the table's indices that Hom(x, z) takes.
     The convolution decides which triples are live.  Plus mode reads its
     products off it, and minus mode multiplies them by one sign per pair,
-    (-1)**(pa + pb + twist), and negates the terms of odd parity, as
-    ``_multiply_basis`` does.  Nested mode folds every pair of a live
-    triple through the movie.
+    (-1)**(pa + pb + _twist at ``order``), and negates the terms of odd
+    parity, as ``_multiply_basis`` does.  Only nested mode compiles the
+    movie, and folds every pair of a live triple through it.
     """
     kernel = _convolution(x, y, z)
     if kernel is None:
@@ -795,7 +536,7 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
                  if (terms := tuple(sorted((index[hxz.index[t]], c) for t, c in
                                            _multiply_basis(a, b, mode, order).terms.items())))]
                 for a in hxy.elements]
-    twist = _compile_movie(x, y, z, order).twist
+    twist = _twist(x, y, z, order)
     signed = [terms and (tuple((index[k], -c if hxz.parities[k] else c) for k, c in terms),
                          tuple((index[k], c if hxz.parities[k] else -c) for k, c in terms))
               for terms in outs]
@@ -954,7 +695,8 @@ def check_degree_additivity(shape: Shape, alpha: int = 1) -> CheckResult:
 def _degree_additivity(table: StructureTable) -> CheckResult:
     """check_degree_additivity on a built table."""
     els = table.basis
-    degrees = [degree(b) for b in els]
+    # the basis runs over Hom(x, y) for x, then y, in ``table.weights``
+    degrees = [d for x in table.weights for y in table.weights for d in _ends(x, y).degrees]
     for (i, j), terms in table.products.items():  # in composable order
         want = degrees[i] + degrees[j]
         for t, _ in terms:

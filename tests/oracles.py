@@ -587,6 +587,23 @@ def _split_parity(x: Weight, y: Weight, z: Weight,
     return total % 2
 
 
+def _ray_twist(x: Weight, y: Weight, z: Weight) -> int:
+    """Parity of the sum of (smallest ray + 1) over the circles the ray joins close.
+
+    These are the exponents of the alpha = -1 signs of ``_ray_step``; the
+    ray columns are joined before any cup, so they do not depend on the
+    cup order.
+    """
+    mv = _Movie(x, y, z)
+    for r in mv.my.rays:
+        mv.verticals.add(r)
+        mv.stubs.discard(r)
+    rays = set(mv.my.rays)
+    return sum(min(col for _, col in key if col in rays) + 1
+               for key, comp in mv.components().items()
+               if comp["kind"] == CIRCLE and any(col in rays for _, col in key)) % 2
+
+
 def _run_movie(ba: BasisElement, bb: BasisElement, mode: str,
                cup_order: tuple[tuple[int, int], ...]) -> dict[frozenset[frozenset], int]:
     """Run the surgery movie; returns {set of X-labelled final components: coeff}.

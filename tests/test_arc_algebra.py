@@ -461,8 +461,8 @@ def test_surviving_movie_into_an_empty_hom_space_raises(monkeypatch):
 
 # --- memos ---------------------------------------------------------------------------
 
-MEMOS = (arc_algebra._convolution, arc_algebra._compile_movie, arc_algebra._ends,
-         arc_algebra.basis, weight_to_m)
+MEMOS = (arc_algebra._convolution, arc_algebra._compile_movie, arc_algebra._twist,
+         arc_algebra._ends, arc_algebra.basis, weight_to_m)
 
 
 def test_clear_caches_empties_every_memo():
@@ -479,6 +479,16 @@ def test_clear_caches_empties_every_memo():
 
 def test_memos_are_bounded():
     assert all(m.cache_info().maxsize is not None for m in MEMOS)
+
+
+def test_plus_and_minus_tables_compile_no_movie():
+    arc_algebra.clear_caches()
+    for alpha in (1, -1):
+        structure_table(Shape(6, 3), alpha)
+    assert arc_algebra._compile_movie.cache_info().currsize == 0
+    assert arc_algebra._twist.cache_info().currsize > 0
+    structure_table(Shape(4, 2), -1, mode="nested")
+    assert arc_algebra._compile_movie.cache_info().currsize > 0
 
 
 # --- integrality and tables ----------------------------------------------------------

@@ -1,12 +1,13 @@
-"""The compiled movie against the reference movie in ``oracles.py``.
+"""The compiled movie and the twist walk against the reference movie in ``oracles.py``.
 
 Every composable basis pair, every nesting-compatible cup order and all
 three rule sets are compared for n <= 5 and at (6, 2), and so is every
 movie at (6, 3) whose split parity depends on the cup order (movies with
-handles first appear there).  Hypothesis samples pairs and orders at
-(6, 3) and (8, 4).  The caches are cleared first, so that products,
-compiled movies and bases are computed afresh rather than read from a
-memo.
+handles first appear there).  The walk's twist is compared at every
+order there too, and at the canonical order for every live triple with
+n <= 7.  Hypothesis samples pairs and orders at (6, 3) and (8, 4).  The
+caches are cleared first, so that products, compiled movies, twists and
+bases are computed afresh rather than read from a memo.
 """
 import itertools
 
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcalg.arc_algebra import (_compile_movie, _multiply_basis, basis,
+from arcalg.arc_algebra import (_convolution, _multiply_basis, _twist, basis,
                                 canonical_order, clear_caches, cup_orders)
 from arcalg.diagrams import Shape, enumerate_weights, weight_to_m
-from oracles import _split_parity, movie_product_oracle
+from oracles import _ray_twist, _split_parity, movie_product_oracle
 
 MODES = ("plus", "minus", "nested")
 
@@ -36,8 +37,9 @@ def test_every_pair_and_order(shape):
     for x, y, z in itertools.product(ws, repeat=3):
         if not (basis(x, y) and basis(y, z)):
             continue
+        rays = _ray_twist(x, y, z)
         for order in cup_orders(weight_to_m(y)):
-            assert _compile_movie(x, y, z, order).parity == _split_parity(x, y, z, order)
+            assert _twist(x, y, z, order) == (rays + _split_parity(x, y, z, order)) % 2
             for ba, bb, mode in itertools.product(basis(x, y), basis(y, z), MODES):
                 _agrees(ba, bb, mode, order)
                 pairs += 1
@@ -55,15 +57,33 @@ def test_every_movie_whose_split_parity_depends_on_the_order_6_3():
             continue
         orders = list(cup_orders(weight_to_m(y)))
         reference = _split_parity(x, y, z, canonical_order(weight_to_m(y)))
+        rays = _ray_twist(x, y, z)
         for order in orders:
             parity = _split_parity(x, y, z, order)
-            assert _compile_movie(x, y, z, order).parity == parity
+            assert _twist(x, y, z, order) == (rays + parity) % 2
             if parity == reference:
                 continue
             drifting += 1
             for ba, bb, mode in itertools.product(basis(x, y), basis(y, z), MODES):
                 _agrees(ba, bb, mode, order)
     assert drifting == 64
+
+
+@pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 8) for k in range(n // 2 + 1)],
+                         ids=str)
+def test_twist_of_every_live_triple(shape):
+    # the alpha = -1 table reads its sign per triple off the walk, at the
+    # canonical order, for exactly these triples
+    clear_caches()
+    ws = enumerate_weights(shape)
+    live = 0
+    for x, y, z in itertools.product(ws, repeat=3):
+        if not (basis(x, y) and basis(y, z)) or _convolution(x, y, z) is None:
+            continue
+        order = canonical_order(weight_to_m(y))
+        assert _twist(x, y, z, order) == (_ray_twist(x, y, z) + _split_parity(x, y, z, order)) % 2
+        live += 1
+    assert live > 0
 
 
 @st.composite
