@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagrams import DOWN, CupDiagram, Weight, _cup_depths, weight_to_m
+from .diagrams import DOWN, CupDiagram, Weight, _cup_depths, _walk, weight_to_m
 
 
 def canonical_order(mid: CupDiagram) -> tuple[tuple[int, int], ...]:
@@ -69,6 +69,8 @@ def cup_orders(mid: CupDiagram):
 # takes one slot at both of its ends.  Arcs join columns of opposite
 # parity and flip the mark, the vertical strands left by the surgeries keep
 # both, so along a component the mark flips exactly with the column parity.
+# One walker, ``diagrams._walk``, follows these slots for the compiled
+# movie and the twist, and a point's cup and cap slots for ``glue``.
 
 # events: a circle born with X (a ray closing or a circle pinched off a
 # line; it carries its nested-mode sign), a circle meeting a line, two
@@ -99,20 +101,6 @@ def _slots(x: Weight, y: Weight, z: Weight) -> list[list[int]]:
         for a, b in m.cups:
             nb[2 * a + h][slot], nb[2 * b + h][slot] = 2 * b + h, 2 * a + h
     return nb
-
-
-def _walk(nb: list[list[int]], start: int) -> tuple[int, bool]:
-    """The nodes of start's component, as a bitmask, and whether it is a cycle."""
-    nodes = 1 << start
-    for slot in (0, 1):
-        v = nb[start][slot]
-        while v >= 0 and v != start:  # the slots alternate along a path
-            nodes |= 1 << v
-            slot ^= 1
-            v = nb[v][slot]
-        if v == start:
-            return nodes, True
-    return nodes, False
 
 
 @lru_cache(maxsize=1024)

@@ -100,15 +100,14 @@ class AlgebraElement:
         for b, c in self.terms.items():
             idxs = tuple(comp.leftmost for comp in b.diagram().circles()
                          if b.orient.mark(comp.leftmost) == UP)
-            mono = "*".join(f"x{i}" for i in idxs) if idxs else "1"
+            mono = "*".join(f"x{i}" for i in idxs) or "1"
             rendered.append(((len(idxs), idxs), c, mono))
         parts = []
         for _, c, mono in sorted(rendered):
             sign = "-" if c < 0 else "+"
             coeff = "" if abs(c) == 1 else f"{abs(c)}*"
             parts.append(f"{sign} {coeff}{mono}")
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
+        return " ".join(parts).removeprefix("+ ")
 
     def __str__(self) -> str:
         if not self.terms:
@@ -120,18 +119,17 @@ class AlgebraElement:
 def idempotent(x: Weight) -> AlgebraElement:
     """Degree-0 element of Hom(x, x); x itself orients its self-glued diagram."""
     e = BasisElement(x, x, x)
-    if degree(e) != 0:
+    if degree(e):
         raise RuntimeError(f"{x} orients its own diagram in degree {degree(e)}, not 0")
     return AlgebraElement(x, x, {e: 1})
 
 
 def low_element(x: Weight, y: Weight) -> AlgebraElement | None:
     """The minimal-degree basis element of Hom(x, y), or None if Hom is zero."""
-    els = basis(x, y)
-    if not els:
+    hom = _ends(x, y)
+    if not hom.elements:
         return None
-    b = min(els, key=degree)
-    return AlgebraElement(x, y, {b: 1})
+    return AlgebraElement(x, y, {hom.elements[hom.degrees.index(min(hom.degrees))]: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +382,10 @@ def _expand(terms: dict, product) -> dict:
 
     ``product(t)`` returns {basis element or its index: coeff}.
     """
-    out: dict = {}
+    out: dict = defaultdict(int)
     for t, coeff in terms.items():
         for b, c in product(t).items():
-            out[b] = out.get(b, 0) + coeff * c
+            out[b] += coeff * c
     return {b: c for b, c in out.items() if c}
 
 
@@ -474,9 +472,12 @@ class StructureTable:
     def text_dump(self) -> str:
         lines = [f"shape ({self.shape.n},{self.shape.k})  alpha={self.alpha:+d}  "
                  f"basis size {len(self.basis)}"]
+        # one glue per Hom space: the basis runs through them one at a time
+        glued = lru_cache(maxsize=1)(diagram_of)
         for idx, b in enumerate(self.basis):
-            lines.append(f"\n#{idx}  {b}  degree {degree(b)}")
-            lines.append(render_circle_diagram(b.diagram(), b.orient))
+            z = glued(b.src, b.tgt)
+            lines.append(f"\n#{idx}  {b}  degree {orientation_degree(z, b.orient)}")
+            lines.append(render_circle_diagram(z, b.orient))
         lines.append("\nproducts (i * j = sum of coeff * #k):")
         for (i, j), terms in sorted(self.products.items()):
             rhs = " ".join(f"{c:+d}*#{k}" for k, c in terms) or "0"
@@ -489,11 +490,7 @@ def algebra_basis(shape: Shape, standard_only: bool = False) -> tuple[tuple[Weig
         weights = tuple(weight_of_tableau(s) for s in enumerate_standard(shape))
     else:
         weights = tuple(enumerate_weights(shape))
-    els: list[BasisElement] = []
-    for x in weights:
-        for y in weights:
-            els.extend(basis(x, y))
-    return weights, tuple(els)
+    return weights, tuple(b for x in weights for y in weights for b in basis(x, y))
 
 
 def _composable(els: tuple[BasisElement, ...]):

@@ -114,10 +114,6 @@ class GradedDim:
     def total(self) -> int:
         return sum(self.coeffs)
 
-    def normalized(self) -> "GradedDim":
-        """This value itself: a GradedDim is stored normalized."""
-        return self
-
     def __str__(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):

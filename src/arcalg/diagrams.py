@@ -403,42 +403,55 @@ class CircleDiagram:
                    if sum(1 for kind, a, b in c.arcs if kind == "cap" and a < p < b) % 2)
 
 
+def _walk(nb: list[list[int]], start: int) -> tuple[int, bool]:
+    """The nodes of start's component, as a bitmask, and whether it is a cycle.
+
+    ``nb[v]`` holds v's two neighbours, -1 for none, and every edge takes
+    slot 0 at both of its ends or slot 1 at both, so the slots alternate
+    along a path.  This one walker serves ``glue``, the compiled movie and
+    the twist (:mod:`arcalg._movie`).
+    """
+    nodes = 1 << start
+    for slot in (0, 1):
+        v = nb[start][slot]
+        while v >= 0 and v != start:
+            nodes |= 1 << v
+            slot ^= 1
+            v = nb[v][slot]
+        if v == start:
+            return nodes, True
+    return nodes, False
+
+
 def glue(top: CupDiagram, bottom: CupDiagram) -> CircleDiagram:
-    """Glue ``top`` (reflected, as caps) onto ``bottom`` (cups)."""
+    """Glue ``top`` (reflected, as caps) onto ``bottom`` (cups).
+
+    Each point keeps its cup partner in slot 0 and its cap partner in
+    slot 1, -1 for a ray, and ``_walk`` finds the component of each point
+    not yet seen, left to right, so components come in leftmost-vertex
+    order.
+    """
     if top.n != bottom.n:
         raise ValidationError(f"cannot glue diagrams on {top.n} and {bottom.n} points")
     n = top.n
-    adj: dict[int, list[tuple[str, int, int]]] = {i: [] for i in range(1, n + 1)}
-    for a, b in top.cups:
-        adj[a].append(("cap", a, b))
-        adj[b].append(("cap", a, b))
-    for a, b in bottom.cups:
-        adj[a].append(("cup", a, b))
-        adj[b].append(("cup", a, b))
-    seen: set[int] = set()
+    nb = [[-1, -1] for _ in range(n + 1)]
+    for slot, m in ((0, bottom), (1, top)):
+        for a, b in m.cups:
+            nb[a][slot], nb[b][slot] = b, a
     comps = []
+    seen = 0
     for start in range(1, n + 1):
-        if start in seen:
+        if seen >> start & 1:
             continue
-        stack = [start]
-        verts = set()
-        arcs = set()
-        while stack:
-            v = stack.pop()
-            if v in verts:
-                continue
-            verts.add(v)
-            for arc in adj[v]:
-                arcs.add(arc)
-                _, a, b = arc
-                stack.append(a if v == b else b)
-        seen |= verts
-        t_rays = tuple(sorted(v for v in verts if v in top.rays))
-        b_rays = tuple(sorted(v for v in verts if v in bottom.rays))
-        kind = LINE if (t_rays or b_rays) else CIRCLE
-        comps.append(Component(kind, tuple(sorted(verts)), tuple(sorted(arcs)),
-                               t_rays, b_rays))
-    comps.sort(key=lambda c: c.leftmost)
+        nodes, cycle = _walk(nb, start)
+        seen |= nodes
+        verts = tuple([v for v in range(start, n + 1) if nodes >> v & 1])
+        comps.append(Component(
+            CIRCLE if cycle else LINE, verts,
+            tuple([("cap", v, nb[v][1]) for v in verts if nb[v][1] > v]
+                  + [("cup", v, nb[v][0]) for v in verts if nb[v][0] > v]),
+            tuple([v for v in verts if nb[v][1] < 0]),
+            tuple([v for v in verts if nb[v][0] < 0])))
     return CircleDiagram(top, bottom, tuple(comps))
 
 

@@ -208,6 +208,14 @@ def test_mixed_composite_with_rays():
     assert degree(term) == degree(next(iter(p.terms))) + degree(next(iter(q.terms)))
 
 
+@pytest.mark.parametrize("shape", [Shape(4, 2), Shape(5, 1), Shape(6, 3)])
+def test_low_element_is_the_first_element_of_least_degree(shape):
+    for x, y in itertools.product(weights_of(shape.n, shape.k), repeat=2):
+        els = basis(x, y)
+        want = AlgebraElement(x, y, {min(els, key=degree): 1}) if els else None
+        assert low_element(x, y) == want
+
+
 # --- exhaustive checks ------------------------------------------------------------
 
 @pytest.mark.parametrize("shape", [Shape(2, 1), Shape(3, 1), Shape(4, 2), Shape(5, 2)])

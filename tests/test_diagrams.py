@@ -263,9 +263,17 @@ def test_glue_against_union_find_oracle():
     for shape in all_shapes(7):
         ws = weights_of(shape.n, shape.k)
         for a, b in itertools.product(ws, repeat=2):
-            z = glue(weight_to_m(b), weight_to_m(a))
-            got = [(c.kind, c.vertices) for c in z.components]
-            assert got == component_census_oracle(a, b)
+            bottom, top = weight_to_m(a), weight_to_m(b)
+            z = glue(top, bottom)
+            got = [(c.kind, c.vertices, c.arcs, c.top_rays, c.bottom_rays)
+                   for c in z.components]
+            want = [(kind, verts,
+                     tuple(("cap", i, j) for i, j in top.cups if i in verts)
+                     + tuple(("cup", i, j) for i, j in bottom.cups if i in verts),
+                     tuple(r for r in top.rays if r in verts),
+                     tuple(r for r in bottom.rays if r in verts))
+                    for kind, verts in component_census_oracle(a, b)]
+            assert got == want
 
 
 def test_nesting_forest():

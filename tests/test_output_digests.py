@@ -1,4 +1,5 @@
-"""Pinned SHA-256 digests of the `arcalg k0` and `arcalg cohomology` outputs.
+"""Pinned SHA-256 digests of the `arcalg k0`, `arcalg cohomology` and
+`arcalg table --format text` outputs.
 
 The digests were recorded before the pullback ranks, kernels and the K0
 determinant were read off their structure instead of by elimination;
@@ -6,7 +7,8 @@ any change to a K0 entry, to the `det` line, to a presentation, to a
 pullback image or to a Poincaré polynomial shows up here.  Each
 cohomology digest covers the JSON output of every same-shape pair
 (``--a A --b B``) followed by every weight alone (``--a A``), in
-canonical order.
+canonical order.  The table text digests were recorded before ``glue``
+walked the two-slot neighbour lists of ``diagrams._walk``.
 """
 import contextlib
 import hashlib
@@ -128,6 +130,15 @@ COHOMOLOGY_DIGESTS = {
              "d60eabfa59640a0883f3caeabef7f31b5204065d706edb7fae6f2d19a478c70f"),
 }
 
+# (n, k): (alpha = +1, alpha = -1) digests of `arcalg table --format text`,
+# which renders every glued diagram of the basis with its degree
+TABLE_TEXT_DIGESTS = {
+    (4, 2): ("93649f0fde7d505de4382d67f935027bf2e66524b8672e6c5c5cc0e92d120af0",
+             "6c7886fa6e292333bd227c54aa809cdd0c9f536a16b0a955b2a72a22a5ad6cc2"),
+    (5, 2): ("492cb54083104c398e5223b77af1335de910ffc7d15f320a17c3e6f6f178b738",
+             "2600b42c91f858aa48bee85f8122709c9cb5550ae171eb77f94ae0b70d50d30e"),
+}
+
 
 def _out(*argv: str) -> bytes:
     buf = io.StringIO()
@@ -162,3 +173,11 @@ def test_k0_output_digest(n, k):
 @pytest.mark.parametrize("shifted", [False, True])
 def test_cohomology_output_digest(n, k, shifted):
     assert _cohomology_digest(n, k, shifted) == COHOMOLOGY_DIGESTS[(n, k)][shifted]
+
+
+@pytest.mark.parametrize("n,k", sorted(TABLE_TEXT_DIGESTS))
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_table_text_digest(n, k, alpha):
+    out = _out("table", "--n", str(n), "--k", str(k), "--alpha", str(alpha),
+               "--format", "text")
+    assert hashlib.sha256(out).hexdigest() == TABLE_TEXT_DIGESTS[(n, k)][alpha < 0]
