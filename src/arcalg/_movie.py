@@ -4,15 +4,17 @@ Multiplication stacks two diagrams and contracts the shared middle
 diagram one cup or ray at a time (a movie).  Ray columns are joined
 first; cups are surgered outermost-first (surgering an inner cup before
 an outer one would thread vertical strands through a still-present cup
-and destroy planarity, and with it the sign rules).  The movie's topology
-is compiled once per weight triple and cup order into a list of events
-(merge, split, birth of a circle, a circle meeting a line).  It names
-each component by its lowest node, so a basis element's label set, read
-once per Hom space (``arc_algebra._ends``), is a valid start or end of
-every movie with no translation.  The twist, the exponent of the
-movie's alpha = -1 signs, is read off the same walk with no events.  A
-label pass folds the events for each pair of basis elements under one
-of two rule sets:
+and destroy planarity, and with it the sign rules).  The movie's
+topology is compiled once per weight triple and cup order (None: the
+canonical one) into a tuple of events (merge, split, birth of a circle,
+a circle meeting a line), or None when a line reconnection kills every
+product.  It names each component by its lowest node, so a basis
+element's label set, read once per Hom space (``arc_algebra._ends``), is
+a valid start or end of every movie with no translation.  The twist, the
+exponent of the movie's alpha = -1 signs, is read off the same walk with
+no events, where ``arc_algebra._multiply_basis`` applies it.  A label
+pass folds the events for each pair of basis elements under one of two
+rule sets:
 
 * Frobenius  Khovanov's Z[X]/(X^2): merge m, split 1 -> X(x)1 + 1(x)X;
   this is the associative ``alpha=+1`` product.  The ``alpha=-1``
@@ -33,9 +35,13 @@ product otherwise (mismatched marks or clockwise arcs).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
-from .diagrams import DOWN, CupDiagram, Weight, _cup_depths, _walk, weight_to_m
+from .diagrams import (DOWN, CupDiagram, ValidationError, Weight, _cup_depths, _walk,
+                       weight_to_m)
+
+
+class OrderError(ValidationError):
+    """Cup order not compatible with the nesting partial order."""
 
 
 def canonical_order(mid: CupDiagram) -> tuple[tuple[int, int], ...]:
@@ -55,6 +61,20 @@ def cup_orders(mid: CupDiagram):
                 yield from rec([o for o in remaining if o != c], done + [c])
 
     yield from rec(list(mid.cups), [])
+
+
+def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...] | None:
+    """``order`` as a tuple of cups, checked against ``mid``; None (canonical) stays None."""
+    if order is None:
+        return None
+    order = tuple(tuple(c) for c in order)
+    if sorted(order) != sorted(mid.cups):
+        raise OrderError(f"order {order} does not list the cups of {mid.cups}")
+    for pos, cup in enumerate(order):
+        for later in order[pos + 1:]:
+            if mid.contains_cup(later, cup):
+                raise OrderError(f"cup {later} contains {cup} but is surgered after it")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -78,21 +98,6 @@ def cup_orders(mid: CupDiagram):
 _BIRTH, _KILL, _MERGE, _SPLIT = range(4)
 
 
-class _CompiledMovie(NamedTuple):
-    """Everything about one movie that does not depend on the basis pair.
-
-    A component's id is its lowest node, and a label set is a bitmask with
-    bit ``id`` set for each circle carrying X.  ``zero`` is set when a line
-    reconnects through a clockwise or mismatched arc, which kills every
-    product.  ``flip`` is whether the movie's ``_twist`` differs from the
-    canonical order's.
-    """
-
-    zero: bool
-    events: tuple
-    flip: bool
-
-
 def _slots(x: Weight, y: Weight, z: Weight) -> list[list[int]]:
     """The neighbour slots of the movie's nodes, before any ray join or surgery."""
     nb = [[-1, -1] for _ in range(2 * x.n + 2)]
@@ -105,18 +110,20 @@ def _slots(x: Weight, y: Weight, z: Weight) -> list[list[int]]:
 
 @lru_cache(maxsize=1024)
 def _compile_movie(x: Weight, y: Weight, z: Weight,
-                   cup_order: tuple[tuple[int, int], ...]) -> _CompiledMovie:
-    """Classify every step of the movie.
+                   cup_order: tuple[tuple[int, int], ...] | None) -> tuple | None:
+    """The movie's events, or None when every product vanishes.
 
-    m(y)'s ray columns are linked before the one walk that registers
-    every component; its cups are then surgered in ``cup_order``, and
-    only the components a surgery touches are walked again.  A circle of
-    that walk through a ray column was closed by the ray joins and is
-    born with X; its smallest ray column gives the birth's sign.  A
-    component's id is its lowest node: a circle of Hom(x, y) with
-    leftmost point c has id 2c and one of Hom(y, z) id 2c + 1; after the
-    last surgery every column is a strand, so a circle of Hom(x, z) has
-    id 2c again.
+    A line reconnecting through a clockwise or mismatched arc kills every
+    product.  m(y)'s ray columns are linked before the one walk that
+    registers every component; its cups are then surgered in ``cup_order``
+    (None: the canonical order), and only the components a surgery touches
+    are walked again.  A circle of that walk through a ray column was
+    closed by the ray joins and is born with X; its smallest ray column
+    gives the birth's sign.  A component's id is its lowest node: a circle
+    of Hom(x, y) with leftmost point c has id 2c and one of Hom(y, z) id
+    2c + 1; after the last surgery every column is a strand, so a circle
+    of Hom(x, z) has id 2c again.  A label set has bit ``id`` set for each
+    circle carrying X.
     """
     mx, my, mz = weight_to_m(x), weight_to_m(y), weight_to_m(z)
     size = 2 * x.n + 2
@@ -165,8 +172,7 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
             if rays and not is_line:  # the ray joins closed a circle, born with X
                 events.append((_BIRTH, 1 << g, (-1) ** (min(rays) + 1 + (g >> 1))))
 
-    zero = False
-    for i, j in cup_order:
+    for i, j in cup_order or canonical_order(my):
         li, ui, lj, uj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
         a, b = owner[ui], owner[li]
         a_line, b_line = comps[a][1], comps[b][1]
@@ -179,12 +185,12 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
         gi = register(ui)
         gj = gi if comps[gi][0] >> uj & 1 else register(uj)
         if a != b:
-            if a_line and b_line:  # two line segments reconnect
-                zero = zero or clockwise
-            elif a_line or b_line:
+            if a_line != b_line:
                 events.append((_KILL, 1 << (b if a_line else a)))
-            else:
+            elif not a_line:
                 events.append((_MERGE, 1 << a, 1 << b, 1 << gi, inner))
+            elif clockwise:  # two line segments reconnect
+                return None
         elif not a_line:
             if gi == gj:
                 raise RuntimeError("self-saddle failed to split a circle (non-planar state)")
@@ -194,24 +200,22 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
             born = [g for g in (gi, gj) if not comps[g][1]]
             if born:  # a circle pinches off the line, born with X
                 events.append((_BIRTH, 1 << born[0], (-1) ** (i + (born[0] >> 1))))
-            else:  # the line reconnects with itself
-                zero = zero or clockwise
+            elif clockwise:  # the line reconnects with itself
+                return None
 
-    if zero:
-        return _CompiledMovie(True, (), False)
-    reference = canonical_order(my)
-    return _CompiledMovie(False, tuple(events), cup_order != reference and
-                          _twist(x, y, z, cup_order) != _twist(x, y, z, reference))
+    return tuple(events)
 
 
 @lru_cache(maxsize=1024)
-def _twist(x: Weight, y: Weight, z: Weight, cup_order: tuple[tuple[int, int], ...]) -> int:
+def _twist(x: Weight, y: Weight, z: Weight,
+           cup_order: tuple[tuple[int, int], ...] | None) -> int:
     """Khovanov's split sign: the exponent of the movie's alpha = -1 signs, mod 2.
 
     The sum of (smallest ray + 1) over the circles that m(y)'s ray joins
     close, plus the left end i of each cup (i, j) of ``cup_order`` that
-    splits a circle or pinches one off a line.  Only which nodes meet is
-    followed: no label, event or nesting.
+    splits a circle or pinches one off a line.  ``cup_order`` None is the
+    canonical order, the one the alpha = -1 sign is taken at.  Only which
+    nodes meet is followed: no label, event or nesting.
     """
     nb = _slots(x, y, z)
     twist = 0
@@ -219,7 +223,7 @@ def _twist(x: Weight, y: Weight, z: Weight, cup_order: tuple[tuple[int, int], ..
         if _walk(nb, 2 * r)[0] >> 2 * r + 1 & 1:
             twist += r + 1
         nb[2 * r][1], nb[2 * r + 1][1] = 2 * r + 1, 2 * r
-    for i, j in cup_order:
+    for i, j in cup_order or canonical_order(weight_to_m(y)):
         li, ui, lj, uj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
         nodes, cycle = _walk(nb, ui)
         nb[li][1], nb[lj][1], nb[ui][1], nb[uj][1] = ui, uj, li, lj  # the saddle

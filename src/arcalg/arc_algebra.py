@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._movie import _compile_movie, _fold, _twist, canonical_order, cup_orders
-from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, Shape, UP,
+from ._movie import (OrderError, _compile_movie, _fold, _twist, _validate_order,
+                     canonical_order, cup_orders)
+from .diagrams import (CIRCLE, CircleDiagram, Shape, UP,
                        ValidationError, Weight, diagram_of,
                        enumerate_standard, enumerate_weights, orientation_degree,
                        orientations, render_circle_diagram, weight_of_tableau,
@@ -43,10 +44,6 @@ from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, Shape, UP,
 
 class CompositionError(ValidationError):
     """Product of elements whose middle weights disagree."""
-
-
-class OrderError(ValidationError):
-    """Cup order not compatible with the nesting partial order."""
 
 
 @dataclass(frozen=True)
@@ -96,10 +93,10 @@ class AlgebraElement:
         """Render as a polynomial in the leftmost-point generators."""
         if not self.terms:
             return "0"
+        hom = _hom_of(self)
         rendered = []
         for b, c in self.terms.items():
-            idxs = tuple(comp.leftmost for comp in b.diagram().circles()
-                         if b.orient.mark(comp.leftmost) == UP)
+            idxs = tuple(bit.bit_length() // 2 for bit in _bits(hom.labels[hom.index[b]]))
             mono = "*".join(f"x{i}" for i in idxs) or "1"
             rendered.append(((len(idxs), idxs), c, mono))
         parts = []
@@ -119,8 +116,9 @@ class AlgebraElement:
 def idempotent(x: Weight) -> AlgebraElement:
     """Degree-0 element of Hom(x, x); x itself orients its self-glued diagram."""
     e = BasisElement(x, x, x)
-    if degree(e):
-        raise RuntimeError(f"{x} orients its own diagram in degree {degree(e)}, not 0")
+    hom = _ends(x, x)
+    if d := hom.degrees[hom.index[e]]:
+        raise RuntimeError(f"{x} orients its own diagram in degree {d}, not 0")
     return AlgebraElement(x, x, {e: 1})
 
 
@@ -156,6 +154,15 @@ class _Hom(NamedTuple):
     parts: tuple[int, ...]  # the columns of each component
     lines: tuple[tuple[int, int], ...]  # the bottom and the top ray ends of each line
     caps: int  # the left ends of the upper diagram's cups
+
+
+def _hom_of(el: AlgebraElement) -> _Hom:
+    """Hom(src, tgt) of ``el``; a term outside its basis raises ValidationError."""
+    hom = _ends(el.src, el.tgt)
+    for t in el.terms:
+        if t not in hom.index:
+            raise ValidationError(f"{t} is not a basis element of Hom({el.src}, {el.tgt})")
+    return hom
 
 
 def _mask(columns) -> int:
@@ -322,27 +329,30 @@ def _bits(mask: int) -> list[int]:
 
 
 def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
-                    cup_order: tuple[tuple[int, int], ...]) -> AlgebraElement:
-    """Product of two basis elements through the compiled movie.
+                    cup_order: tuple[tuple[int, int], ...] | None) -> AlgebraElement:
+    """Product of two basis elements through the compiled movie (None: canonical order).
 
     The fold starts at ``ba``'s label set and ``bb``'s shifted into layer
     1, and ends in ``_ends(x, z)``.  Each alpha = -1 rule multiplies every
     term of a step by one sign, so minus mode folds the plus rules, times
     the twist and the parities that turn leftmost-x classes into z-classes
-    (z_i = (-1)**i x_i) at both ends.  The twist, and the flip of a nested
-    product, are taken at the canonical order: on movies with handles
-    (first possible at n = 6) the splitting cups vary with the order.
+    (z_i = (-1)**i x_i) at both ends.  The twist is taken at the canonical
+    order: on movies with handles (first possible at n = 6) the splitting
+    cups vary with the order, so a nested product is negated (flipped)
+    where the twist at ``cup_order`` differs.
     """
     x, y, z = ba.src, ba.tgt, bb.tgt
-    movie = _compile_movie(x, y, z, cup_order)
+    events = _compile_movie(x, y, z, cup_order)
     out: dict[BasisElement, int] = {}
-    if not movie.zero:
+    if events is not None:
         hxy, hyz = _ends(x, y), _ends(y, z)
         ia, ib = hxy.index[ba], hyz.index[bb]
-        odd = 0 if mode == "plus" else movie.flip
-        if mode == "minus":  # the twist at the canonical order: this order's, flipped back
-            odd += hxy.parities[ia] + hyz.parities[ib] + _twist(x, y, z, cup_order)
-        terms = _fold(movie.events, mode == "nested",
+        if mode == "minus":
+            odd = hxy.parities[ia] + hyz.parities[ib] + _twist(x, y, z, None)
+        else:
+            odd = mode == "nested" and cup_order is not None and (
+                _twist(x, y, z, cup_order) != _twist(x, y, z, None))
+        terms = _fold(events, mode == "nested",
                       {hxy.labels[ia] | hyz.labels[ib] << 1: (-1) ** odd})
         hxz = _ends(x, z) if terms else None
         for labels, c in terms.items():
@@ -389,26 +399,11 @@ def _expand(terms: dict, product) -> dict:
     return {b: c for b, c in out.items() if c}
 
 
-def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...]:
-    if order is None:
-        return canonical_order(mid)
-    order = tuple(tuple(c) for c in order)
-    if sorted(order) != sorted(mid.cups):
-        raise OrderError(f"order {order} does not list the cups of {mid.cups}")
-    for pos, cup in enumerate(order):
-        for later in order[pos + 1:]:
-            if mid.contains_cup(later, cup):
-                raise OrderError(f"cup {later} contains {cup} but is surgered after it")
-    return order
-
-
 def _compose(a: AlgebraElement, b: AlgebraElement, mode: str, order) -> AlgebraElement:
     if a.tgt != b.src:
         raise CompositionError(f"cannot compose {a.src}->{a.tgt} with {b.src}->{b.tgt}")
     for el in (a, b):
-        stray = next((t for t in el.terms if t not in basis(el.src, el.tgt)), None)
-        if stray is not None:
-            raise ValidationError(f"{stray} is not a basis element of Hom({el.src}, {el.tgt})")
+        _hom_of(el)
     cup_order = _validate_order(weight_to_m(a.tgt), order)
     return AlgebraElement(a.src, b.tgt, _expand(a.terms, lambda ba: _expand(
         b.terms, lambda bb: _multiply_basis(ba, bb, mode, cup_order).terms)))
@@ -513,9 +508,9 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
     ``index`` is the slice of the table's indices that Hom(x, z) takes.
     The convolution decides which triples are live.  Plus mode reads its
     products off it, and minus mode multiplies them by one sign per pair,
-    (-1)**(pa + pb + _twist at ``order``), and negates the terms of odd
-    parity, as ``_multiply_basis`` does.  Only nested mode compiles the
-    movie, and folds every pair of a live triple through it.
+    (-1)**(pa + pb + _twist at the canonical ``order``), and negates the
+    terms of odd parity, as ``_multiply_basis`` does.  Only nested mode
+    compiles the movie, at order None (no flip), for every live pair.
     """
     kernel = _convolution(x, y, z)
     if kernel is None:
@@ -531,7 +526,7 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
     if mode == "nested":
         return [[(j, terms) for j, b in enumerate(hyz.elements)
                  if (terms := tuple(sorted((index[hxz.index[t]], c) for t, c in
-                                           _multiply_basis(a, b, mode, order).terms.items())))]
+                                           _multiply_basis(a, b, mode, None).terms.items())))]
                 for a in hxy.elements]
     twist = _twist(x, y, z, order)
     signed = [terms and (tuple((index[k], -c if hxz.parities[k] else c) for k, c in terms),

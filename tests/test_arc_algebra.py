@@ -1,10 +1,13 @@
 import dataclasses
 import functools
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
-from arcalg import arc_algebra
+import arcalg
+from arcalg import arc_algebra, diagrams
 from arcalg.arc_algebra import (AlgebraElement, BasisElement, CompositionError,
                                 OrderError, StructureTable, basis,
                                 canonical_order, check_associativity,
@@ -59,6 +62,44 @@ def test_x_form_names_the_high_circles():
                             if _is_high(c, b.orient)]
                     assert AlgebraElement(x, y, {b: 1}).x_form() == ("*".join(high) or "1")
     arc_algebra.clear_caches()
+
+
+def _count_glues(monkeypatch) -> list[int]:
+    """Count the calls of ``diagrams.glue`` from here on."""
+    calls = [0]
+    real = diagrams.glue
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(diagrams, "glue", counted)
+    return calls
+
+
+def test_x_form_reads_the_hom_space_and_glues_nothing(monkeypatch):
+    x = W("v^v^v^")
+    everything = AlgebraElement(x, x, {b: 1 for b in basis(x, x)})
+    calls = _count_glues(monkeypatch)
+    assert everything.x_form() == "1 + x1 + x3 + x5 + x1*x3 + x1*x5 + x3*x5 + x1*x3*x5"
+    assert calls == [0]
+
+
+def test_x_form_rejects_terms_outside_the_basis():
+    stray = AlgebraElement(W("v^"), W("v^"), {BasisElement(W("v^"), W("v^"), W("vv")): 1})
+    with pytest.raises(ValidationError, match=r"\[v\^\|v\^\|vv\] is not a basis element "
+                                              r"of Hom\(v\^, v\^\)"):
+        stray.x_form()
+
+
+def test_idempotent_reads_its_degree_off_the_hom_space(monkeypatch):
+    ws = weights_of(6, 3)
+    for x in ws:
+        arc_algebra._ends(x, x)
+    calls = _count_glues(monkeypatch)
+    for x in ws:
+        assert idempotent(x).terms == {BasisElement(x, x, x): 1}
+    assert calls == [0]
 
 
 def test_single_circle_degrees():
@@ -469,8 +510,23 @@ def test_surviving_movie_into_an_empty_hom_space_raises(monkeypatch):
 
 # --- memos ---------------------------------------------------------------------------
 
-MEMOS = (arc_algebra._convolution, arc_algebra._compile_movie, arc_algebra._twist,
-         arc_algebra._ends, arc_algebra.basis, weight_to_m)
+def _memos() -> tuple:
+    """Every module-level memo of the package: each object with ``cache_info``."""
+    found = {}
+    for info in pkgutil.iter_modules(arcalg.__path__):
+        module = importlib.import_module(f"arcalg.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                found[id(value)] = value
+    return tuple(found.values())
+
+
+MEMOS = _memos()
+
+
+def test_the_scan_finds_every_memo():
+    assert {m.__wrapped__.__qualname__ for m in MEMOS} == {
+        "_convolution", "_compile_movie", "_twist", "_ends", "basis", "weight_to_m"}
 
 
 def test_clear_caches_empties_every_memo():
@@ -497,6 +553,14 @@ def test_plus_and_minus_tables_compile_no_movie():
     assert arc_algebra._twist.cache_info().currsize > 0
     structure_table(Shape(4, 2), -1, mode="nested")
     assert arc_algebra._compile_movie.cache_info().currsize > 0
+    # The nested table runs at the canonical order, which flips no sign,
+    # and alpha +1 carries none: neither walks a twist.
+    for job in (lambda: structure_table(Shape(6, 3), -1, mode="nested"),
+                lambda: check_order_independence(Shape(6, 3), 1)):
+        arc_algebra.clear_caches()
+        job()
+        assert arc_algebra._compile_movie.cache_info().currsize > 0
+        assert arc_algebra._twist.cache_info().misses == 0
 
 
 # --- integrality and tables ----------------------------------------------------------

@@ -5,9 +5,11 @@ three rule sets are compared for n <= 5 and at (6, 2), and so is every
 movie at (6, 3) whose split parity depends on the cup order (movies with
 handles first appear there).  The walk's twist is compared at every
 order there too, and at the canonical order for every live triple with
-n <= 7.  Hypothesis samples pairs and orders at (6, 3) and (8, 4).  The
-caches are cleared first, so that products, compiled movies, twists and
-bases are computed afresh rather than read from a memo.
+n <= 7, where the twist and the compiled movie at no order (None) must
+equal those at the canonical order.  Hypothesis samples pairs and
+orders at (6, 3) and (8, 4).  The caches are cleared first, so that
+products, compiled movies, twists and bases are computed afresh rather
+than read from a memo.
 """
 import itertools
 
@@ -15,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcalg.arc_algebra import (_convolution, _multiply_basis, _twist, basis,
-                                canonical_order, clear_caches, cup_orders)
+from arcalg.arc_algebra import (_compile_movie, _convolution, _multiply_basis, _twist,
+                                basis, canonical_order, clear_caches, cup_orders)
 from arcalg.diagrams import Shape, enumerate_weights, weight_to_m
 from oracles import _ray_twist, _split_parity, movie_product_oracle
 
@@ -82,6 +84,9 @@ def test_twist_of_every_live_triple(shape):
             continue
         order = canonical_order(weight_to_m(y))
         assert _twist(x, y, z, order) == (_ray_twist(x, y, z) + _split_parity(x, y, z, order)) % 2
+        # no cup order is the canonical one
+        assert _twist(x, y, z, None) == _twist(x, y, z, order)
+        assert _compile_movie(x, y, z, None) == _compile_movie(x, y, z, order)
         live += 1
     assert live > 0
 
