@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 from ._movie import (OrderError, _compile_movie, _fold, _twist, _validate_order,
                      canonical_order, cup_orders)
+from .cohomology import _glued_intersection
 from .diagrams import (CIRCLE, CircleDiagram, Shape, UP,
                        ValidationError, Weight, diagram_of,
                        enumerate_standard, enumerate_weights, orientation_degree,
@@ -187,7 +188,7 @@ def _ends(x: Weight, y: Weight) -> _Hom:
                 _mask(circles), tuple(_mask(comp.vertices) for comp in z.components),
                 tuple((_mask(comp.bottom_rays), _mask(comp.top_rays))
                       for comp in z.components if comp.kind != CIRCLE),
-                _mask(a for a, _ in z.top.cups))
+                _mask(z.top.left_ends()))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +367,10 @@ def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
 
 
 def clear_caches() -> None:
-    """Empty every memo: convolutions, compiled movies, twists, Hom spaces, bases and m(w)."""
-    for memo in (_convolution, _compile_movie, _twist, _ends, basis, weight_to_m):
+    """Empty every memo: convolutions, compiled movies, twists, Hom spaces, bases, m(w)
+    and the glued pairs of :mod:`arcalg.cohomology` (``_glued_intersection``)."""
+    for memo in (_convolution, _compile_movie, _twist, _ends, basis, weight_to_m,
+                 _glued_intersection):
         memo.cache_clear()
 
 

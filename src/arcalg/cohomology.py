@@ -11,11 +11,17 @@ generators it hits, with no elimination.
 
 EMPTY intersections are reported as None, mirroring a zero Hom space
 rather than a zero ring.
+
+``_glued_intersection`` memoizes the last pairs the pullback functions
+glued.  ``poincare`` and ``intrinsic_min_degree`` need no pullback and
+glue afresh: one glue per call, which perfbench's tracer test counts.
+``diagrams.equivalence`` is unused here; perfbench still traces it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, StandardTableau,
@@ -159,17 +165,25 @@ def intersection_cohomology(w: Weight, wp: Weight) -> tuple[RingPresentation, Pu
     return _glued_intersection(w, wp)[1]
 
 
+def _glued(w: Weight, wp: Weight) -> tuple[CircleDiagram, list[tuple[bool, ...]] | None]:
+    """The glued diagram of a pair of one shape, and its components' choices."""
+    if w.n != wp.n or w.k != wp.k:
+        raise ValidationError("weights must share a shape")
+    z = diagram_of(w, wp)
+    return z, _component_choices(z, w, wp)
+
+
+@lru_cache(maxsize=32)
 def _glued_intersection(w: Weight, wp: Weight) -> tuple[
         CircleDiagram, tuple[RingPresentation, PullbackMap] | None]:
     """The glued diagram and intersection_cohomology of the pair.
 
     The intersection is empty exactly when the rays of some line
-    contradict each other.
+    contradict each other.  Memoized for the last 32 pairs; ``poincare``
+    does not read the memo (see the module docstring).
     """
-    if w.shape() != wp.shape():
-        raise ValidationError("weights must share a shape")
-    z = diagram_of(w, wp)
-    if _component_choices(z, w, wp) is None:
+    z, choices = _glued(w, wp)
+    if choices is None:
         return z, None
     circles = z.circles()
     images: list[tuple[tuple[int, int], ...]] = [()] * w.n
@@ -187,8 +201,7 @@ def _glued_min_degree(w: Weight, wp: Weight) -> tuple[CircleDiagram, int | None]
     by whether its odd points are up; so the smallest degree is the sum,
     over components, of the fewest arcs counted by an allowed choice.
     """
-    z = diagram_of(w, wp)
-    choices = _component_choices(z, w, wp)
+    z, choices = _glued(w, wp)
     if choices is None:
         return z, None
     return z, sum(min(sum(1 for _, a, _b in comp.arcs if (a % 2 == 1) == odd_up)

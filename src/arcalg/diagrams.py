@@ -429,7 +429,8 @@ def glue(top: CupDiagram, bottom: CupDiagram) -> CircleDiagram:
     Each point keeps its cup partner in slot 0 and its cap partner in
     slot 1, -1 for a ray, and ``_walk`` finds the component of each point
     not yet seen, left to right, so components come in leftmost-vertex
-    order.
+    order.  One pass over a component's points, in order, reads its
+    vertices, caps, cups and top and bottom rays off the slots.
     """
     if top.n != bottom.n:
         raise ValidationError(f"cannot glue diagrams on {top.n} and {bottom.n} points")
@@ -445,13 +446,23 @@ def glue(top: CupDiagram, bottom: CupDiagram) -> CircleDiagram:
             continue
         nodes, cycle = _walk(nb, start)
         seen |= nodes
-        verts = tuple([v for v in range(start, n + 1) if nodes >> v & 1])
-        comps.append(Component(
-            CIRCLE if cycle else LINE, verts,
-            tuple([("cap", v, nb[v][1]) for v in verts if nb[v][1] > v]
-                  + [("cup", v, nb[v][0]) for v in verts if nb[v][0] > v]),
-            tuple([v for v in verts if nb[v][1] < 0]),
-            tuple([v for v in verts if nb[v][0] < 0])))
+        verts, caps, cups, top_rays, bottom_rays = [], [], [], [], []
+        while nodes:  # lowest set bit first
+            low = nodes & -nodes
+            nodes ^= low
+            v = low.bit_length() - 1
+            verts.append(v)
+            below, above = nb[v]
+            if above > v:
+                caps.append(("cap", v, above))
+            elif above < 0:
+                top_rays.append(v)
+            if below > v:
+                cups.append(("cup", v, below))
+            elif below < 0:
+                bottom_rays.append(v)
+        comps.append(Component(CIRCLE if cycle else LINE, tuple(verts), tuple(caps + cups),
+                               tuple(top_rays), tuple(bottom_rays)))
     return CircleDiagram(top, bottom, tuple(comps))
 
 

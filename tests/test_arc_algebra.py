@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import arcalg
-from arcalg import arc_algebra, diagrams
+from arcalg import arc_algebra
 from arcalg.arc_algebra import (AlgebraElement, BasisElement, CompositionError,
                                 OrderError, StructureTable, basis,
                                 canonical_order, check_associativity,
@@ -15,6 +15,7 @@ from arcalg.arc_algebra import (AlgebraElement, BasisElement, CompositionError,
                                 check_order_independence, check_unit, cup_orders,
                                 degree, idempotent, low_element, multiply,
                                 multiply_nested, structure_table)
+from arcalg.cohomology import intersection_cohomology
 from arcalg.diagrams import (UP, Shape, ValidationError, Weight, diagram_of,
                              enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
@@ -64,23 +65,10 @@ def test_x_form_names_the_high_circles():
     arc_algebra.clear_caches()
 
 
-def _count_glues(monkeypatch) -> list[int]:
-    """Count the calls of ``diagrams.glue`` from here on."""
-    calls = [0]
-    real = diagrams.glue
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(diagrams, "glue", counted)
-    return calls
-
-
-def test_x_form_reads_the_hom_space_and_glues_nothing(monkeypatch):
+def test_x_form_reads_the_hom_space_and_glues_nothing(count_glues):
     x = W("v^v^v^")
     everything = AlgebraElement(x, x, {b: 1 for b in basis(x, x)})
-    calls = _count_glues(monkeypatch)
+    calls = count_glues()
     assert everything.x_form() == "1 + x1 + x3 + x5 + x1*x3 + x1*x5 + x3*x5 + x1*x3*x5"
     assert calls == [0]
 
@@ -92,11 +80,11 @@ def test_x_form_rejects_terms_outside_the_basis():
         stray.x_form()
 
 
-def test_idempotent_reads_its_degree_off_the_hom_space(monkeypatch):
+def test_idempotent_reads_its_degree_off_the_hom_space(count_glues):
     ws = weights_of(6, 3)
     for x in ws:
         arc_algebra._ends(x, x)
-    calls = _count_glues(monkeypatch)
+    calls = count_glues()
     for x in ws:
         assert idempotent(x).terms == {BasisElement(x, x, x): 1}
     assert calls == [0]
@@ -526,7 +514,8 @@ MEMOS = _memos()
 
 def test_the_scan_finds_every_memo():
     assert {m.__wrapped__.__qualname__ for m in MEMOS} == {
-        "_convolution", "_compile_movie", "_twist", "_ends", "basis", "weight_to_m"}
+        "_convolution", "_compile_movie", "_twist", "_ends", "basis", "weight_to_m",
+        "_glued_intersection"}
 
 
 def test_clear_caches_empties_every_memo():
@@ -534,11 +523,13 @@ def test_clear_caches_empties_every_memo():
     b = one(NXT, NESTED)
     want = multiply(a, b, -1)
     table = structure_table(Shape(4, 2), -1)
+    pair = intersection_cohomology(NESTED, NXT)
     assert all(m.cache_info().currsize for m in MEMOS)
     arc_algebra.clear_caches()
     assert [m.cache_info().currsize for m in MEMOS] == [0] * len(MEMOS)
     assert multiply(a, b, -1) == want
     assert structure_table(Shape(4, 2), -1) == table
+    assert intersection_cohomology(NESTED, NXT) == pair
 
 
 def test_memos_are_bounded():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcalg import cohomology
+from arcalg.arc_algebra import clear_caches
 from arcalg.cohomology import (GradedDim, PullbackMap, RingPresentation,
                                component_cohomology, intersection_cohomology,
                                intrinsic_min_degree, kernel_contains_both,
@@ -164,11 +165,63 @@ def test_min_degree_matches_the_smallest_orientation_degree(n):
     for w, v in itertools.product(ws, repeat=2):
         z = diagram_of(w, v)
         low = min((orientation_degree(z, o) for o in orientations(z, w, v)), default=None)
+        if w.k != v.k:  # no orientation, and no shared shape
+            assert low is None, (str(w), str(v))
+            for ask in (intrinsic_min_degree, poincare):
+                with pytest.raises(ValidationError, match="share a shape"):
+                    ask(w, v)
+            continue
         assert intrinsic_min_degree(w, v) == low, (str(w), str(v))
         c = z.circle_count()
         want = GradedDim.zero() if low is None else GradedDim(  # q**low * (1 + q**2)**c
             low, tuple(0 if i % 2 else comb(c, i // 2) for i in range(2 * c + 1)))
         assert poincare(w, v, shifted=True) == want, (str(w), str(v))
+
+
+@pytest.mark.parametrize("ask", [poincare, intrinsic_min_degree, intersection_cohomology,
+                                 kernel_contains_both, odd_normalization],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("pair", [("v^^^", "vv^^"), ("v^^", "v^v^")], ids=["k", "n"])
+def test_every_pair_function_rejects_weights_of_two_shapes(ask, pair):
+    with pytest.raises(ValidationError, match="weights must share a shape"):
+        ask(W(pair[0]), W(pair[1]))
+
+
+# --- the glued pair, glued once ------------------------------------------------
+
+def _pair_results(a, b):
+    return (intersection_cohomology(a, b), kernel_contains_both(a, b), odd_normalization(a, b))
+
+
+def test_the_three_pullback_functions_glue_a_pair_once(count_glues):
+    a, b = W("v^v^v^"), W("vv^v^^")
+    clear_caches()
+    calls = count_glues()
+    _pair_results(a, b)
+    assert calls == [1]
+    _pair_results(a, b)
+    assert calls == [1]
+    poincare(a, b)  # reads no memo: one glue of its own
+    assert calls == [2]
+
+
+def test_memoized_pair_results_equal_the_cold_ones():
+    ws = weights_of(6, 3)
+    pairs = list(itertools.product(ws, repeat=2))
+    cold = {}
+    for a, b in pairs:
+        clear_caches()
+        cold[a, b] = _pair_results(a, b)
+    clear_caches()
+    # interleaved: each pair's three results asked after other pairs' in between
+    for (a, b), (c, d) in zip(pairs, pairs[7:] + pairs[:7]):
+        assert intersection_cohomology(a, b) == cold[a, b][0]
+        assert kernel_contains_both(c, d) == cold[c, d][1]
+        assert odd_normalization(a, b) == cold[a, b][2]
+        assert _pair_results(c, d) == cold[c, d]
+    clear_caches()
+    assert cohomology._glued_intersection.cache_info().currsize == 0
+    assert {(a, b): _pair_results(a, b) for a, b in pairs} == cold
 
 
 # --- pullback properties -------------------------------------------------------
