@@ -12,9 +12,9 @@ product.  It names each component by its lowest node, so a basis
 element's label set, read once per Hom space (``arc_algebra._ends``), is
 a valid start or end of every movie with no translation.  The twist, the
 exponent of the movie's alpha = -1 signs, is read off the same walk with
-no events, where ``arc_algebra._multiply_basis`` applies it.  A label
-pass folds the events for each pair of basis elements under one of two
-rule sets:
+no events, where ``arc_algebra._triple_rows`` applies it.  A label
+pass folds the events for each pair of basis elements of the triple
+under one of two rule sets:
 
 * Frobenius  Khovanov's Z[X]/(X^2): merge m, split 1 -> X(x)1 + 1(x)X;
   this is the associative ``alpha=+1`` product.  The ``alpha=-1``
@@ -44,6 +44,7 @@ class OrderError(ValidationError):
     """Cup order not compatible with the nesting partial order."""
 
 
+@lru_cache(maxsize=1024)
 def canonical_order(mid: CupDiagram) -> tuple[tuple[int, int], ...]:
     """Outermost cups first; left to right among incomparable ones."""
     depths = _cup_depths(mid)

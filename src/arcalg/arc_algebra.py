@@ -7,18 +7,18 @@ the role of X, with the dictionary "X on a circle = the generator x_i at
 the circle's leftmost point i" tying everything to the ring presentations
 in :mod:`arcalg.cohomology`.
 
-The product of two basis elements runs the surgery movie of
-:mod:`arcalg._movie`, under the Frobenius or the nested rules.
-
-Structure tables run no movie at alpha = +-1.  After the last surgery
-every column carries a vertical strand, so the whole cobordism of a
-weight triple (x, y, z) is fixed by the components of m(x), m(y) and
-m(z) drawn together: the convolution reads every alpha = +1 product of
-the triple off per-component counts, once per triple, and alpha = -1 is
-that product times (-1)**(pa + pb + twist) with the output parities; the
-twist is read off a walk that follows only which nodes of the movie
-meet.  The movie serves nested mode, explicit cup orders and
-``multiply``, and is the reference the tables are tested against.
+Every product goes through ``_triple_rows``, which gives all products of
+one weight triple (x, y, z) at once.  At alpha = +-1 and the canonical
+cup order no movie runs.  After the last surgery every column carries a
+vertical strand, so the whole cobordism of the triple is fixed by the
+components of m(x), m(y) and m(z) drawn together: the convolution reads
+every alpha = +1 product of the triple off per-component counts, and
+alpha = -1 is that product times (-1)**(pa + pb + twist) with the output
+parities; the twist is read off a walk that follows only which nodes of
+the movie meet.  Nested mode and explicit cup orders fold the surgery
+movie of :mod:`arcalg._movie`, under the nested or the Frobenius rules,
+for every pair of the triple; the movie is the reference the
+convolution is tested against.
 
 Everything is pure.  The exhaustive checks at the bottom scan composable
 basis pairs in a fixed order and report the first failure.  Associativity
@@ -329,48 +329,68 @@ def _bits(mask: int) -> list[int]:
 # public products
 
 
-def _multiply_basis(ba: BasisElement, bb: BasisElement, mode: str,
-                    cup_order: tuple[tuple[int, int], ...] | None) -> AlgebraElement:
-    """Product of two basis elements through the compiled movie (None: canonical order).
+def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
+                 cup_order: tuple[tuple[int, int], ...] | None, index) -> list | None:
+    """The products of Hom(x, y) with Hom(y, z), or None where all vanish.
 
-    The fold starts at ``ba``'s label set and ``bb``'s shifted into layer
-    1, and ends in ``_ends(x, z)``.  Each alpha = -1 rule multiplies every
-    term of a step by one sign, so minus mode folds the plus rules, times
-    the twist and the parities that turn leftmost-x classes into z-classes
-    (z_i = (-1)**i x_i) at both ends.  The twist is taken at the canonical
-    order: on movies with handles (first possible at n = 6) the splitting
-    cups vary with the order, so a nested product is negated (flipped)
-    where the twist at ``cup_order`` differs.
+    Row i lists (j, ((index[k], coeff), ...)) for element i of Hom(x, y)
+    and each j of Hom(y, z) whose product with it is nonzero, k running
+    over Hom(x, z).  At ``cup_order`` None the convolution decides which
+    triples are live, and plus and minus mode read it; nested mode and
+    explicit orders fold the compiled movie, each pair (i, j) a load of
+    its own, i << w | j.  Minus mode multiplies the +1 product by
+    (-1)**(pa + pb + twist at the canonical order) and negates odd-parity
+    terms, turning leftmost-x classes into z-classes (z_i = (-1)**i x_i)
+    at both ends.  On movies with handles (n >= 6) the splitting cups vary
+    with the order, so a nested product is negated (flipped) where the
+    twist at ``cup_order`` differs.
     """
-    x, y, z = ba.src, ba.tgt, bb.tgt
-    events = _compile_movie(x, y, z, cup_order)
-    out: dict[BasisElement, int] = {}
-    if events is not None:
-        hxy, hyz = _ends(x, y), _ends(y, z)
-        ia, ib = hxy.index[ba], hyz.index[bb]
-        if mode == "minus":
-            odd = hxy.parities[ia] + hyz.parities[ib] + _twist(x, y, z, None)
-        else:
-            odd = mode == "nested" and cup_order is not None and (
-                _twist(x, y, z, cup_order) != _twist(x, y, z, None))
-        terms = _fold(events, mode == "nested",
-                      {hxy.labels[ia] | hyz.labels[ib] << 1: (-1) ** odd})
-        hxz = _ends(x, z) if terms else None
-        for labels, c in terms.items():
-            try:
-                k = hxz.at[labels]
-            except KeyError:
-                raise RuntimeError(f"the movie {x} | {y} | {z} survives, but Hom({x}, {z}) "
-                                   f"has no element with label set {labels:#b}") from None
-            out[hxz.elements[k]] = -c if mode == "minus" and hxz.parities[k] else c
-    return AlgebraElement(x, z, out)
+    if cup_order is None and (kernel := _convolution(x, y, z)) is None:
+        return None
+    if mode == "nested" or cup_order is not None:
+        events = _compile_movie(x, y, z, cup_order)
+        if events is None:
+            return None
+        hxy, hyz, hxz = _ends(x, y), _ends(y, z), _ends(x, z)
+        w = (len(hyz.labels) - 1).bit_length()
+        sign = -1 if mode == "nested" and cup_order is not None and (
+            _twist(x, y, z, cup_order) != _twist(x, y, z, None)) else 1  # the flip
+        outs = [None] * (len(hxy.labels) << w)
+        for i, la in enumerate(hxy.labels):
+            for j, lb in enumerate(hyz.labels):
+                terms = _fold(events, mode == "nested", {la | lb << 1: sign})
+                try:
+                    outs[i << w | j] = tuple(sorted((hxz.at[labels], c)
+                                                    for labels, c in terms.items()))
+                except KeyError as missing:
+                    raise RuntimeError(f"the movie {x} | {y} | {z} survives, but Hom({x}, {z}) "
+                                       f"has no element with label set {missing.args[0]:#b}"
+                                       ) from None
+        kernel = range(0, len(outs), 1 << w), range(len(hyz.labels)), outs
+    loads_a, loads_b, outs = kernel
+    if mode != "minus":
+        shifted = [terms and tuple((index[k], c) for k, c in terms) for terms in outs]
+        return [[] if la is None else
+                [(j, terms) for j, lb in enumerate(loads_b)
+                 if lb is not None and not la & lb and (terms := shifted[la | lb])]
+                for la in loads_a]
+    hxy, hyz, hxz = _ends(x, y), _ends(y, z), _ends(x, z)
+    twist = _twist(x, y, z, None)
+    signed = [terms and (tuple((index[k], -c if hxz.parities[k] else c) for k, c in terms),
+                         tuple((index[k], c if hxz.parities[k] else -c) for k, c in terms))
+              for terms in outs]
+    b_side = list(enumerate(zip(loads_b, hyz.parities)))
+    return [[] if la is None else
+            [(j, pair[(pa + pb + twist) % 2]) for j, (lb, pb) in b_side
+             if lb is not None and not la & lb and (pair := signed[la | lb])]
+            for la, pa in zip(loads_a, hxy.parities)]
 
 
 def clear_caches() -> None:
     """Empty every memo: convolutions, compiled movies, twists, Hom spaces, bases, m(w)
     and the glued pairs of :mod:`arcalg.cohomology` (``_glued_intersection``)."""
-    for memo in (_convolution, _compile_movie, _twist, _ends, basis, weight_to_m,
-                 _glued_intersection):
+    for memo in (_convolution, _compile_movie, _twist, canonical_order, _ends, basis,
+                 weight_to_m, _glued_intersection):
         memo.cache_clear()
 
 
@@ -405,19 +425,30 @@ def _expand(terms: dict, product) -> dict:
 def _compose(a: AlgebraElement, b: AlgebraElement, mode: str, order) -> AlgebraElement:
     if a.tgt != b.src:
         raise CompositionError(f"cannot compose {a.src}->{a.tgt} with {b.src}->{b.tgt}")
-    for el in (a, b):
-        _hom_of(el)
+    hxy, hyz = _hom_of(a), _hom_of(b)
     cup_order = _validate_order(weight_to_m(a.tgt), order)
-    return AlgebraElement(a.src, b.tgt, _expand(a.terms, lambda ba: _expand(
-        b.terms, lambda bb: _multiply_basis(ba, bb, mode, cup_order).terms)))
+    rows = (_triple_rows(a.src, a.tgt, b.tgt, mode, cup_order, _ends(a.src, b.tgt).elements)
+            or [()] * len(hxy.elements))
+    coeffs_b = {hyz.index[t]: c for t, c in b.terms.items()}
+    out: dict[BasisElement, int] = defaultdict(int)
+    for ta, ca in a.terms.items():
+        for j, terms in rows[hxy.index[ta]]:
+            for t, c in terms:
+                out[t] += ca * coeffs_b.get(j, 0) * c
+    return AlgebraElement(a.src, b.tgt, out)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement, alpha: int = 1, order=None) -> AlgebraElement:
-    """Movie product of a in Hom(x, y) with b in Hom(y, z).
+    """Product of a in Hom(x, y) with b in Hom(y, z).
 
-    alpha=+1 gives the associative arc algebra product, alpha=-1 the
-    complex-orientation convolution (equal to the embedded nested TQFT).
-    ``order`` may fix the cup processing order; it must schedule
+    alpha=+1 gives the associative arc algebra product.  alpha=-1 is the
+    +1 product twisted by the sign cochain s(x, y, z) = (-1)**twist and
+    the parities of a, b and each output term.  It is not associative:
+    (ab)c = ds * a(bc) for c in Hom(z, w), with
+    ds = s(x, y, z) * s(x, z, w) * s(y, z, w) * s(x, y, w).  It equals the
+    embedded nested TQFT (``multiply_nested``).  At the default ``order``
+    the product is read off the convolution; an explicit ``order`` runs
+    the movie in that cup processing order, which must schedule
     containing cups before contained ones.
     """
     return _compose(a, b, _mode(alpha), order)
@@ -502,46 +533,6 @@ def _composable(els: tuple[BasisElement, ...]):
     return ((i, j) for i, a in enumerate(els) for j in by_src.get(a.tgt, ()))
 
 
-def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
-                 order: tuple[tuple[int, int], ...], index: list[int]) -> list | None:
-    """The products of Hom(x, y) with Hom(y, z), or None if all vanish.
-
-    Row i lists (j, ((index[k], coeff), ...)) for element i of Hom(x, y)
-    and each element j of Hom(y, z) whose product with it is nonzero.
-    ``index`` is the slice of the table's indices that Hom(x, z) takes.
-    The convolution decides which triples are live.  Plus mode reads its
-    products off it, and minus mode multiplies them by one sign per pair,
-    (-1)**(pa + pb + _twist at the canonical ``order``), and negates the
-    terms of odd parity, as ``_multiply_basis`` does.  Only nested mode
-    compiles the movie, at order None (no flip), for every live pair.
-    """
-    kernel = _convolution(x, y, z)
-    if kernel is None:
-        return None
-    loads_a, loads_b, outs = kernel
-    if mode == "plus":
-        shifted = [terms and tuple((index[k], c) for k, c in terms) for terms in outs]
-        return [[] if la is None else
-                [(j, terms) for j, lb in enumerate(loads_b)
-                 if lb is not None and not la & lb and (terms := shifted[la | lb])]
-                for la in loads_a]
-    hxy, hyz, hxz = _ends(x, y), _ends(y, z), _ends(x, z)
-    if mode == "nested":
-        return [[(j, terms) for j, b in enumerate(hyz.elements)
-                 if (terms := tuple(sorted((index[hxz.index[t]], c) for t, c in
-                                           _multiply_basis(a, b, mode, None).terms.items())))]
-                for a in hxy.elements]
-    twist = _twist(x, y, z, order)
-    signed = [terms and (tuple((index[k], -c if hxz.parities[k] else c) for k, c in terms),
-                         tuple((index[k], c if hxz.parities[k] else -c) for k, c in terms))
-              for terms in outs]
-    b_side = list(enumerate(zip(loads_b, hyz.parities)))
-    return [[] if la is None else
-            [(j, pair[(pa + pb + twist) % 2]) for j, (lb, pb) in b_side
-             if lb is not None and not la & lb and (pair := signed[la | lb])]
-            for la, pa in zip(loads_a, hxy.parities)]
-
-
 def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
                     mode: str | None = None) -> StructureTable:
     """All pairwise products of basis elements (zero/uncomposable pairs omitted).
@@ -566,9 +557,8 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
         for y, from_y, first in zip(weights, indices, from_x):
             if not first:
                 continue
-            order = canonical_order(weight_to_m(y))
             live = [(second, rows) for z, second, out in zip(weights, from_y, from_x)
-                    if second and (rows := _triple_rows(x, y, z, the_mode, order, out))]
+                    if second and (rows := _triple_rows(x, y, z, the_mode, None, out))]
             for i, a in enumerate(first):
                 for second, rows in live:
                     for j, terms in rows[i]:
@@ -645,21 +635,33 @@ def _associativity(table: StructureTable) -> CheckResult:
 
 
 def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
-    """Products agree across every nesting-compatible cup order."""
+    """Products agree across every nesting-compatible cup order.
+
+    Each weight triple is folded once per order; pairs are then compared
+    in composable order, and within a pair order by order.
+    """
     mode = _mode(alpha)
-    weights, els = algebra_basis(shape)
+    weights = enumerate_weights(shape)
     orders = {y: list(cup_orders(weight_to_m(y))) for y in weights}
-    for i, j in _composable(els):
-        a, b = els[i], els[j]
-        ref, *alts = orders[a.tgt]
-        if not alts:
-            continue
-        want = _multiply_basis(a, b, mode, ref)
-        for order in alts:
-            got = _multiply_basis(a, b, mode, order)
-            if got != want:
-                return CheckResult(False, f"a={a} b={b} order={order}: "
-                                          f"{got.x_form()} != {want.x_form()}")
+    for x in weights:
+        for y in weights:
+            first, (_, *alts) = _ends(x, y).elements, orders[y]
+            if not (first and alts):
+                continue
+            # per z, each order's rows of the triple, row i as {j: terms}
+            triples = [(z, [[dict(row) for row in
+                             _triple_rows(x, y, z, mode, order, _ends(x, z).elements)
+                             or [()] * len(first)] for order in orders[y]])
+                       for z in weights if _ends(y, z).elements]
+            for i, a in enumerate(first):
+                for z, (want, *gots) in triples:
+                    for j, b in enumerate(_ends(y, z).elements):
+                        for order, got in zip(alts, gots):
+                            if got[i].get(j) != want[i].get(j):
+                                got, want = (AlgebraElement(x, z, dict(rows[i].get(j, ())))
+                                             for rows in (got, want))
+                                return CheckResult(False, f"a={a} b={b} order={order}: "
+                                                          f"{got.x_form()} != {want.x_form()}")
     return CheckResult(True)
 
 

@@ -236,28 +236,20 @@ def pullback_is_surjective(pres: RingPresentation, pb: PullbackMap) -> bool:
     return len(hit) == len(pres.generators)
 
 
-def _kernel_within(p: PullbackMap, q: PullbackMap) -> bool:
-    """ker p is contained in ker q.
-
-    ker p is spanned by e_i where p(x_i) = 0 and by e_i - s_i*s_j*e_j
-    where p(x_i) = s_i*x_g and p(x_j) = s_j*x_g.  So q must kill what p
-    kills, and s_i*q(x_i) must be one value f(g) for each generator g.
-    """
-    f: dict[int | None, tuple] = {None: ()}  # None stands for p(x_i) = 0
-    for p_i, q_i in zip(p.images, q.images):
-        g, s = p_i[0] if p_i else (None, 1)
-        image = tuple((h, s * c) for h, c in q_i)
-        if f.setdefault(g, image) != image:
-            return False
-    return True
-
-
 def kernel_contains_both(w: Weight, wp: Weight) -> bool:
-    """ker(pullback of the pair) contains ker for w plus ker for wp."""
+    """ker(pullback of the pair) contains ker for w plus ker for wp.
+
+    The kernel of the pullback for v is spanned by x_r for each ray r of
+    m(v) and by x_a + x_b for each cup (a, b): the pair's pullback must
+    kill every ray and send x_a to minus the image of x_b.
+    """
     pair = intersection_cohomology(w, wp)
     if pair is None:
         return True  # nothing to check; the Hom space is zero
-    return all(_kernel_within(stable_cohomology(v)[1], pair[1]) for v in (w, wp))
+    images = pair[1].images
+    return all(not images[r - 1] for v in (w, wp) for r in weight_to_m(v).rays) and all(
+        images[a - 1] == tuple((g, -s) for g, s in images[b - 1])
+        for v in (w, wp) for a, b in weight_to_m(v).cups)
 
 
 @dataclass(frozen=True)

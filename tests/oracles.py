@@ -21,8 +21,8 @@ from functools import lru_cache
 import networkx as nx
 
 from arcalg.arc_algebra import (AlgebraElement, BasisElement, CheckResult,
-                                StructureTable, _composable, _mode, _multiply_basis,
-                                algebra_basis, canonical_order, diagram_of)
+                                StructureTable, _mode, _triple_rows, algebra_basis,
+                                basis, canonical_order, diagram_of)
 from arcalg.diagrams import Shape
 from arcalg.diagrams import (CIRCLE, DOWN, LINE, UP, Component, Weight,
                              weight_to_m)
@@ -831,17 +831,23 @@ def movie_product_oracle(ba: BasisElement, bb: BasisElement, mode: str,
 
 
 def movie_table_oracle(shape: Shape, alpha: int, mode: str | None = None) -> StructureTable:
-    """structure_table(shape, alpha, mode=mode), one compiled movie fold per composable pair."""
+    """structure_table(shape, alpha, mode=mode), the compiled movie folded for
+    every weight triple at the canonical cup order, given explicitly."""
     the_mode = _mode(alpha, mode)
     weights, els = algebra_basis(shape)
     index = {b: i for i, b in enumerate(els)}
-    orders = {y: canonical_order(weight_to_m(y)) for y in weights}
     products = {}
-    for i, j in _composable(els):
-        a, b = els[i], els[j]
-        prod = _multiply_basis(a, b, the_mode, orders[a.tgt])
-        if prod.terms:
-            products[(i, j)] = tuple(sorted((index[t], c) for t, c in prod.terms.items()))
+    for x in weights:
+        for y in weights:
+            order = canonical_order(weight_to_m(y))
+            for z in weights:
+                first, second = basis(x, y), basis(y, z)
+                if first and second:
+                    rows = _triple_rows(x, y, z, the_mode, order,
+                                        [index[t] for t in basis(x, z)])
+                    for a, row in zip(first, rows or ()):
+                        for j, terms in row:
+                            products[(index[a], index[second[j]])] = terms
     return StructureTable(shape, alpha, weights, els, products)
 
 

@@ -7,15 +7,16 @@ use standard weights only, whose movies split and nest circles more
 often.  Each element of the chain is every basis element of its Hom
 space with a coefficient in 1..3; the products are bilinear, so one
 example tests many basis products at once.  The laws are tested through
-the public products.
+the public products, and the default-order product (read off the
+convolution) against the movie at the canonical order.
 """
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcalg.arc_algebra import (AlgebraElement, basis, cup_orders, degree, idempotent,
-                                multiply, multiply_nested)
+from arcalg.arc_algebra import (AlgebraElement, basis, canonical_order, cup_orders, degree,
+                                idempotent, multiply, multiply_nested)
 from arcalg.diagrams import (Shape, enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
 
@@ -76,3 +77,11 @@ def test_nested_is_alpha_minus_one(chain, data):
     a, b = chain
     order = data.draw(st.sampled_from(list(cup_orders(weight_to_m(a.tgt)))))
     assert multiply_nested(a, b, order) == multiply(a, b, -1, order)
+
+
+@settings(max_examples=50, deadline=None)
+@given(chains(2), ALPHAS)
+def test_default_order_is_the_movie_at_the_canonical_order(chain, alpha):
+    a, b = chain
+    order = canonical_order(weight_to_m(b.src))
+    assert multiply(a, b, alpha) == multiply(a, b, alpha, order=order)

@@ -386,19 +386,11 @@ def test_pullback_is_surjective_matches_rank():
 
 @settings(max_examples=300)
 @given(st.data())
-def test_kernel_and_rank_of_random_maps_match_elimination_oracle(data):
+def test_rank_of_random_maps_matches_elimination_oracle(data):
     n = data.draw(st.integers(1, 6))
     points = range(1, n + 1)
     gens = tuple(sorted(data.draw(st.sets(st.sampled_from(list(points)), max_size=3))))
     image = st.sampled_from([()] + [((g, s),) for g in gens for s in (1, -1)])
     p = PullbackMap(n, tuple(data.draw(image) for _ in points))
-    if data.draw(st.booleans()):
-        # p followed by a map of generators: ker q contains ker p
-        to = {g: data.draw(image) for g in gens}
-        q = PullbackMap(n, tuple(tuple((h, s * c) for g, s in im for h, c in to[g])
-                                 for im in p.images))
-    else:
-        q = PullbackMap(n, tuple(data.draw(image) for _ in points))
-    assert cohomology._kernel_within(p, q) == kernel_within_oracle(gens, p, gens, q)
     pres = RingPresentation(gens)
     assert pullback_is_surjective(pres, p) == (rank(pullback_matrix(gens, p)) == len(gens))

@@ -3,13 +3,14 @@
 Every composable basis pair, every nesting-compatible cup order and all
 three rule sets are compared for n <= 5 and at (6, 2), and so is every
 movie at (6, 3) whose split parity depends on the cup order (movies with
-handles first appear there).  The walk's twist is compared at every
-order there too, and at the canonical order for every live triple with
-n <= 7, where the twist and the compiled movie at no order (None) must
-equal those at the canonical order.  Hypothesis samples pairs and
-orders at (6, 3) and (8, 4).  The caches are cleared first, so that
-products, compiled movies, twists and bases are computed afresh rather
-than read from a memo.
+handles first appear there).  The products are read off ``_triple_rows``
+at explicit orders, which fold the compiled movie once per triple.  The
+walk's twist is compared at every order there too, and at the canonical
+order for every live triple with n <= 7, where the twist and the
+compiled movie at no order (None) must equal those at the canonical
+order.  Hypothesis samples pairs and orders at (6, 3) and (8, 4).  The
+caches are cleared first, so that products, compiled movies, twists and
+bases are computed afresh rather than read from a memo.
 """
 import itertools
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcalg.arc_algebra import (_compile_movie, _convolution, _multiply_basis, _twist,
+from arcalg.arc_algebra import (_compile_movie, _convolution, _triple_rows, _twist,
                                 basis, canonical_order, clear_caches, cup_orders)
 from arcalg.diagrams import Shape, enumerate_weights, weight_to_m
 from oracles import _ray_twist, _split_parity, movie_product_oracle
@@ -25,9 +26,16 @@ from oracles import _ray_twist, _split_parity, movie_product_oracle
 MODES = ("plus", "minus", "nested")
 
 
-def _agrees(ba, bb, mode, order) -> None:
-    got = _multiply_basis(ba, bb, mode, order).terms
-    assert got == movie_product_oracle(ba, bb, mode, order), (str(ba), str(bb), mode, order)
+def _agrees(x, y, z, mode, order, pairs=None) -> None:
+    """The triple's products at ``order``, from one ``_triple_rows`` call, against the
+    reference movie: at each pair (i, j) of positions in Hom(x, y) and Hom(y, z) of
+    ``pairs``, or at every pair if it is None."""
+    first, second = basis(x, y), basis(y, z)
+    rows = _triple_rows(x, y, z, mode, order, basis(x, z)) or [[]] * len(first)
+    for i, j in pairs or itertools.product(range(len(first)), range(len(second))):
+        got = dict(dict(rows[i]).get(j, ()))
+        ba, bb = first[i], second[j]
+        assert got == movie_product_oracle(ba, bb, mode, order), (str(ba), str(bb), mode, order)
 
 
 @pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 6) for k in range(n // 2 + 1)]
@@ -42,9 +50,9 @@ def test_every_pair_and_order(shape):
         rays = _ray_twist(x, y, z)
         for order in cup_orders(weight_to_m(y)):
             assert _twist(x, y, z, order) == (rays + _split_parity(x, y, z, order)) % 2
-            for ba, bb, mode in itertools.product(basis(x, y), basis(y, z), MODES):
-                _agrees(ba, bb, mode, order)
-                pairs += 1
+            for mode in MODES:
+                _agrees(x, y, z, mode, order)
+                pairs += len(basis(x, y)) * len(basis(y, z))
     assert pairs > 0
 
 
@@ -66,8 +74,8 @@ def test_every_movie_whose_split_parity_depends_on_the_order_6_3():
             if parity == reference:
                 continue
             drifting += 1
-            for ba, bb, mode in itertools.product(basis(x, y), basis(y, z), MODES):
-                _agrees(ba, bb, mode, order)
+            for mode in MODES:
+                _agrees(x, y, z, mode, order)
     assert drifting == 64
 
 
@@ -93,14 +101,15 @@ def test_twist_of_every_live_triple(shape):
 
 @st.composite
 def movies(draw, shape):
-    """A composable basis pair of the shape, a valid cup order and a mode."""
+    """A weight triple of the shape, a mode, a valid cup order and one composable
+    basis pair of the triple, as positions in Hom(x, y) and Hom(y, z)."""
     ws = enumerate_weights(shape)
     x = draw(st.sampled_from(ws))
     y = draw(st.sampled_from([w for w in ws if basis(x, w)]))
     z = draw(st.sampled_from([w for w in ws if basis(y, w)]))
     order = draw(st.sampled_from(list(cup_orders(weight_to_m(y)))))
-    return (draw(st.sampled_from(basis(x, y))), draw(st.sampled_from(basis(y, z))),
-            draw(st.sampled_from(MODES)), order)
+    pair = (draw(st.integers(0, len(basis(x, y)) - 1)), draw(st.integers(0, len(basis(y, z)) - 1)))
+    return x, y, z, draw(st.sampled_from(MODES)), order, [pair]
 
 
 @settings(max_examples=150, deadline=None)
