@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ from ._movie import (OrderError, _compile_movie, _fold, _twist, _validate_order,
                      canonical_order, cup_orders)
 from .cohomology import _glued_intersection
 from .diagrams import (CIRCLE, CircleDiagram, Shape, UP,
-                       ValidationError, Weight, diagram_of,
+                       ValidationError, Weight, _Checked, diagram_of,
                        enumerate_standard, enumerate_weights, orientation_degree,
                        orientations, render_circle_diagram, weight_of_tableau,
                        weight_sort_key, weight_to_m)
@@ -47,8 +46,7 @@ class CompositionError(ValidationError):
     """Product of elements whose middle weights disagree."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """Oriented circle diagram: src below, tgt on top, orient a full weight."""
 
     src: Weight
@@ -73,19 +71,27 @@ def degree(b: BasisElement) -> int:
     return orientation_degree(b.diagram(), b.orient)
 
 
-@dataclass
-class AlgebraElement:
-    """Integer combination of basis elements of one Hom space."""
-
+class _ElementFields(NamedTuple):
     src: Weight
     tgt: Weight
-    terms: dict[BasisElement, int] = field(default_factory=dict)
+    terms: dict[BasisElement, int]
 
-    def __post_init__(self) -> None:
-        self.terms = {b: c for b, c in self.terms.items() if c != 0}
-        for b in self.terms:
-            if (b.src, b.tgt) != (self.src, self.tgt):
+
+class AlgebraElement(_Checked, _ElementFields):
+    """Integer combination of basis elements of one Hom space.
+
+    ``terms`` drops zero coefficients; it is a dict, so elements do not hash.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src: Weight, tgt: Weight,
+                terms: dict[BasisElement, int] | None = None) -> "AlgebraElement":
+        terms = {b: c for b, c in (terms or {}).items() if c != 0}
+        for b in terms:
+            if (b.src, b.tgt) != (src, tgt):
                 raise ValidationError("terms must share src and tgt")
+        return tuple.__new__(cls, (src, tgt, terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -463,8 +469,7 @@ def multiply_nested(a: AlgebraElement, b: AlgebraElement, order=None) -> Algebra
 # tables and exhaustive checks
 
 
-@dataclass
-class StructureTable:
+class StructureTable(NamedTuple):
     shape: Shape
     alpha: int
     weights: tuple[Weight, ...]
@@ -566,8 +571,7 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
     return StructureTable(shape, alpha, weights, els, products)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     witness: str | None = None
 

@@ -20,17 +20,16 @@ glue afresh: one glue per call, which perfbench's tracer test counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, StandardTableau,
-                       ValidationError, Weight, _component_choices, diagram_of,
+                       ValidationError, Weight, _Checked, _component_choices, diagram_of,
                        tableau_to_cup, weight_to_m)
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(NamedTuple):
     """C[x_g : g in generators] / (x_g**2), each generator in degree 2."""
 
     generators: tuple[int, ...]
@@ -48,23 +47,27 @@ class RingPresentation:
         return json.dumps({"generators": list(self.generators)})
 
 
-@dataclass(frozen=True)
-class PullbackMap:
+class _PullbackFields(NamedTuple):
+    n: int
+    images: tuple[tuple[tuple[int, int], ...], ...]
+
+
+class PullbackMap(_Checked, _PullbackFields):
     """Images of x_1..x_n, each 0 or one target generator with sign +-1.
 
     ``images[i-1]`` is ``()`` when x_i maps to 0 and ``((g, s),)`` when
     it maps to s * x_g with s = -1 or +1.
     """
 
-    n: int
-    images: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.n:
-            raise ValidationError(f"{len(self.images)} images for x_1..x_{self.n}")
-        for i, image in enumerate(self.images, 1):
+    def __new__(cls, n: int, images: tuple[tuple[tuple[int, int], ...], ...]) -> "PullbackMap":
+        if len(images) != n:
+            raise ValidationError(f"{len(images)} images for x_1..x_{n}")
+        for i, image in enumerate(images, 1):
             if len(image) > 1 or any(coeff not in (1, -1) for _, coeff in image):
                 raise ValidationError(f"x_{i} maps to {list(image)}, not to 0 or +-x_g")
+        return tuple.__new__(cls, (n, images))
 
     def image(self, i: int) -> tuple[tuple[int, int], ...]:
         return self.images[i - 1]
@@ -74,26 +77,29 @@ class PullbackMap:
                            for i, row in enumerate(self.images)})
 
 
-@dataclass(frozen=True)
-class GradedDim:
+class _GradedDimFields(NamedTuple):
+    offset: int
+    coeffs: tuple[int, ...]
+
+
+class GradedDim(_Checked, _GradedDimFields):
     """Laurent polynomial in q with non-negative integer coefficients.
 
     Stored normalized: ``coeffs`` starts and ends with a nonzero entry,
     and the zero polynomial is offset 0 with no coefficients, so the
-    generated ``==`` and hash compare polynomials.
+    tuple ``==`` and hash compare polynomials.  Tuple ``+`` and repetition
+    are switched off: ``g + h`` and ``2 * g`` raise TypeError.
     """
 
-    offset: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
+    __add__ = __rmul__ = None
 
-    def __post_init__(self) -> None:
-        nonzero = [i for i, c in enumerate(self.coeffs) if c]
+    def __new__(cls, offset: int, coeffs: tuple[int, ...]) -> "GradedDim":
+        nonzero = [i for i, c in enumerate(coeffs) if c]
         if not nonzero:
-            object.__setattr__(self, "offset", 0)
-            object.__setattr__(self, "coeffs", ())
-            return
-        object.__setattr__(self, "offset", self.offset + nonzero[0])
-        object.__setattr__(self, "coeffs", tuple(self.coeffs[nonzero[0]:nonzero[-1] + 1]))
+            return tuple.__new__(cls, (0, ()))
+        return tuple.__new__(cls, (offset + nonzero[0],
+                                   tuple(coeffs[nonzero[0]:nonzero[-1] + 1])))
 
     @staticmethod
     def zero() -> "GradedDim":
@@ -252,8 +258,7 @@ def kernel_contains_both(w: Weight, wp: Weight) -> bool:
         for v in (w, wp) for a, b in weight_to_m(v).cups)
 
 
-@dataclass(frozen=True)
-class OddNormalization:
+class OddNormalization(NamedTuple):
     """Odd representative per circle, with the +/- rescaling signs."""
 
     choices: tuple[tuple[int, int], ...]  # (leftmost generator, odd vertex)

@@ -7,8 +7,12 @@ the two into circles and lines; orientations of those glued diagrams are
 the currency of everything downstream (cohomology presentations, the arc
 algebra, Grothendieck-group matrices).
 
-All types are immutable values and all operations are pure functions, so
-everything here is safe to evaluate concurrently.
+All types are immutable ``NamedTuple`` values: they iterate, index and
+compare equal like the plain tuple of their fields, hash and compare in
+C, and copy with ``_replace``.  The validated ones (``Shape``, ``Weight``,
+``StandardTableau``, ``CupDiagram``) check and normalize their fields in
+``__new__``, and ``_replace`` goes through it too.  All operations are
+pure functions, so everything here is safe to evaluate concurrently.
 
 Conventions fixed once and for all:
 
@@ -24,9 +28,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 UP = "^"
 DOWN = "v"
@@ -39,31 +43,54 @@ class ValidationError(ValueError):
     """Raised when an input violates a structural precondition."""
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Two-row shape (n-k, k): n points total, k cups for standard diagrams."""
+class _Checked:
+    """Base of a value type whose ``__new__`` checks its fields.
 
+    A ``NamedTuple``'s ``_make``, and so its ``_replace``, builds the
+    tuple directly; here both go through ``__new__``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _ShapeFields(NamedTuple):
     n: int
     k: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.k < 0 or 2 * self.k > self.n:
-            raise ValidationError(f"invalid shape: n={self.n}, k={self.k} (need 0 <= 2k <= n)")
+
+class Shape(_Checked, _ShapeFields):
+    """Two-row shape (n-k, k): n points total, k cups for standard diagrams."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int) -> "Shape":
+        if n < 1 or k < 0 or 2 * k > n:
+            raise ValidationError(f"invalid shape: n={n}, k={k} (need 0 <= 2k <= n)")
+        return tuple.__new__(cls, (n, k))
 
     @property
     def top_len(self) -> int:
         return self.n - self.k
 
 
-@dataclass(frozen=True, order=False)
-class Weight:
-    """A sign sequence of ups and downs, stored as a string over ``^v``."""
-
+class _WeightFields(NamedTuple):
     marks: str
 
-    def __post_init__(self) -> None:
-        if not self.marks or any(c not in (UP, DOWN) for c in self.marks):
-            raise ValidationError(f"bad weight string {self.marks!r}: use '^' and 'v'")
+
+class Weight(_Checked, _WeightFields):
+    """A sign sequence of ups and downs, stored as a string over ``^v``."""
+
+    __slots__ = ()
+
+    def __new__(cls, marks: str) -> "Weight":
+        # strip leaves a character exactly when some mark is neither up nor down
+        if not isinstance(marks, str) or not marks or marks.strip(UP + DOWN):
+            raise ValidationError(f"bad weight string {marks!r}: use '^' and 'v'")
+        return tuple.__new__(cls, (marks,))
 
     @staticmethod
     def parse(text: str) -> "Weight":
@@ -119,23 +146,27 @@ def weight_sort_key(w: Weight) -> tuple[int, ...]:
     return tuple(0 if c == DOWN else 1 for c in reversed(w.marks))
 
 
-@dataclass(frozen=True)
-class StandardTableau:
-    """Two-row tableau with strictly decreasing rows (and columns if standard)."""
-
+class _TableauFields(NamedTuple):
     top: tuple[int, ...]
     bottom: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        entries = sorted(self.top + self.bottom)
+
+class StandardTableau(_Checked, _TableauFields):
+    """Two-row tableau with strictly decreasing rows (and columns if standard)."""
+
+    __slots__ = ()
+
+    def __new__(cls, top: tuple[int, ...], bottom: tuple[int, ...]) -> "StandardTableau":
+        entries = sorted(top + bottom)
         n = len(entries)
         if entries != list(range(1, n + 1)):
-            raise ValidationError(f"tableau rows must partition 1..n, got {self.top}/{self.bottom}")
-        for row in (self.top, self.bottom):
+            raise ValidationError(f"tableau rows must partition 1..n, got {top}/{bottom}")
+        for row in (top, bottom):
             if any(row[i] <= row[i + 1] for i in range(len(row) - 1)):
                 raise ValidationError(f"rows must strictly decrease, got {row}")
-        if len(self.bottom) > len(self.top):
+        if len(bottom) > len(top):
             raise ValidationError("bottom row longer than top row")
+        return tuple.__new__(cls, (top, bottom))
 
     @property
     def n(self) -> int:
@@ -156,31 +187,34 @@ class StandardTableau:
         return f"{','.join(map(str, self.top))}/{','.join(map(str, self.bottom))}"
 
 
-@dataclass(frozen=True)
-class CupDiagram:
-    """Non-crossing matching: cups (i, j) with i < j below the axis, rays on the rest."""
-
+class _CupFields(NamedTuple):
     n: int
     cups: tuple[tuple[int, int], ...]
     rays: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        points = [p for cup in self.cups for p in cup] + list(self.rays)
-        if sorted(points) != list(range(1, self.n + 1)):
+
+class CupDiagram(_Checked, _CupFields):
+    """Non-crossing matching: cups (i, j) with i < j below the axis, rays on the rest."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, cups: tuple[tuple[int, int], ...],
+                rays: tuple[int, ...]) -> "CupDiagram":
+        points = [p for cup in cups for p in cup] + list(rays)
+        if sorted(points) != list(range(1, n + 1)):
             raise ValidationError("cups and rays must partition 1..n exactly once")
-        for (a, b) in self.cups:
+        for (a, b) in cups:
             if not a < b:
                 raise ValidationError(f"cup {(a, b)} must have left < right")
             if (b - a) % 2 == 0:
                 raise ValidationError(f"cup {(a, b)} spans an even gap")
-        for (a, b), (c, d) in itertools.combinations(self.cups, 2):
+        for (a, b), (c, d) in itertools.combinations(cups, 2):
             if a < c < b < d or c < a < d < b:
                 raise ValidationError(f"cups {(a, b)} and {(c, d)} cross")
-        for r in self.rays:
-            if any(a < r < b for a, b in self.cups):
+        for r in rays:
+            if any(a < r < b for a, b in cups):
                 raise ValidationError(f"ray {r} sits inside a cup")
-        object.__setattr__(self, "cups", tuple(sorted(self.cups)))
-        object.__setattr__(self, "rays", tuple(sorted(self.rays)))
+        return tuple.__new__(cls, (n, tuple(sorted(cups)), tuple(sorted(rays))))
 
     @property
     def k(self) -> int:
@@ -345,8 +379,7 @@ CIRCLE = "circle"
 LINE = "line"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One circle or line of a glued diagram.
 
     Arcs are (kind, i, j) with kind ``cap`` (upper diagram) or ``cup``
@@ -364,8 +397,7 @@ class Component:
         return self.vertices[0]
 
 
-@dataclass(frozen=True)
-class CircleDiagram:
+class CircleDiagram(NamedTuple):
     """Glued diagram: ``top`` reflected above the axis, ``bottom`` below.
 
     Components are ordered by leftmost vertex.
@@ -539,8 +571,7 @@ def epsilon(z: CircleDiagram, i: int, j: int) -> int:
 # equivalence classes and the rank function
 
 
-@dataclass(frozen=True)
-class EquivalenceData:
+class EquivalenceData(NamedTuple):
     """Classes of the two-diagram relation on {0,..,n} plus the rank function."""
 
     n: int

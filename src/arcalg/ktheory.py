@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .diagrams import (DOWN, Shape, ValidationError, Weight,
                        enumerate_weights, weight_sort_key, weight_to_m)
@@ -70,8 +70,7 @@ def theta_set(w: Weight) -> tuple[Weight, ...]:
     return tuple(sorted(out, key=weight_sort_key))
 
 
-@dataclass(frozen=True)
-class K0Matrix:
+class K0Matrix(NamedTuple):
     """Expansion of the twisted classes over the line-bundle basis.
 
     ``entries[i][j]`` is the coefficient of the j-th weight's line bundle
@@ -119,11 +118,13 @@ def k0_matrix(shape: Shape) -> K0Matrix:
     """entry(w, w') = (-1)**(length(w) - length(w')) on Theta(w), else 0."""
     weights = enumerate_weights(shape)
     index = {w: i for i, w in enumerate(weights)}
+    lengths = [length(w) for w in weights]
     entries = []
-    for w in weights:
+    for w, lw in zip(weights, lengths):
         row = [0] * len(weights)
         for wp in theta_set(w):
-            row[index[wp]] = (-1) ** abs(length(w) - length(wp))
+            j = index[wp]
+            row[j] = (-1) ** abs(lw - lengths[j])
         entries.append(tuple(row))
     return K0Matrix(shape, tuple(weights), tuple(entries),
                     "theta moves increase the suffix-dominance order: "

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import importlib
 import itertools
@@ -332,8 +331,8 @@ def _corrupt_pair_in_tables(monkeypatch, corrupt):
     def fake(*args, **kwargs):
         table = real(*args, **kwargs)
         key = tuple(table.index(b) for b in PAIR)
-        return dataclasses.replace(
-            table, products={**table.products, key: corrupt(table, table.products[key])})
+        return table._replace(
+            products={**table.products, key: corrupt(table, table.products[key])})
 
     monkeypatch.setattr(arc_algebra, "structure_table", fake)
 
@@ -391,7 +390,7 @@ def test_associativity_matches_the_triple_scan_on_corrupted_tables(shape, alpha,
         products[key] = _flip_first_coefficient(products[key])
     else:
         del products[key]
-    bad = dataclasses.replace(table, products=products)
+    bad = table._replace(products=products)
     want = associativity_scan_oracle(bad)
     assert not want.ok
     assert arc_algebra._associativity(bad) == want

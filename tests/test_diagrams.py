@@ -43,6 +43,12 @@ def test_weight_parsing_accepts_unicode():
         Weight.parse("^x")
 
 
+@pytest.mark.parametrize("marks", [["^", "v"], ("^",), 12, None, b"^v"])
+def test_weight_rejects_non_strings(marks):
+    with pytest.raises(ValidationError):
+        Weight(marks)
+
+
 def test_shape_validation():
     with pytest.raises(ValidationError):
         Shape(3, 2)
