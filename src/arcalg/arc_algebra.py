@@ -20,10 +20,13 @@ movie of :mod:`arcalg._movie`, under the nested or the Frobenius rules,
 for every pair of the triple; the movie is the reference the
 convolution is tested against.
 
-Everything is pure.  The exhaustive checks at the bottom scan composable
-basis pairs in a fixed order and report the first failure.  Associativity
-sums both bracketings over nonzero products only, and still reports the
-first failing triple in composable order.
+Everything is pure.  The exhaustive checks at the bottom report the first
+failure in composable order.  The two movie checks, cup-order
+independence and agreement of alpha = -1 with the nested TQFT, share one
+loop (``_disagreement``): it folds each weight triple once per (mode, cup
+order) variant and compares the variants pair by pair.  The other checks
+read an alpha = +-1 structure table; associativity sums both bracketings
+over nonzero products only, and still reports the first failing triple.
 """
 from __future__ import annotations
 
@@ -400,20 +403,11 @@ def clear_caches() -> None:
         memo.cache_clear()
 
 
-def _mode(alpha: int, mode: str | None = None) -> str:
-    """The rule set of the product at ``alpha``: "plus", "minus", or "nested".
-
-    ``mode`` is None, or "nested" for the embedded TQFT, which agrees with
-    alpha = -1 and is only asked for there.
-    """
+def _mode(alpha: int) -> str:
+    """The rule set of the product at ``alpha``: "plus" or "minus"."""
     if alpha not in (1, -1):
         raise ValidationError(f"alpha must be +1 or -1, not {alpha!r}")
-    if mode is None:
-        return "plus" if alpha == 1 else "minus"
-    if mode != "nested" or alpha != -1:
-        raise ValidationError(f"mode {mode!r} at alpha {alpha:+d}: "
-                              f"the only mode is 'nested', at alpha -1")
-    return mode
+    return "plus" if alpha == 1 else "minus"
 
 
 def _expand(terms: dict, product) -> dict:
@@ -527,25 +521,13 @@ def algebra_basis(shape: Shape, standard_only: bool = False) -> tuple[tuple[Weig
     return weights, tuple(b for x in weights for y in weights for b in basis(x, y))
 
 
-def _composable(els: tuple[BasisElement, ...]):
-    """Every pair (i, j) of indices into ``els`` with els[i].tgt == els[j].src.
-
-    Pairs come in basis order of their first element, then of their second.
-    """
-    by_src: dict[Weight, list[int]] = {}
-    for j, b in enumerate(els):
-        by_src.setdefault(b.src, []).append(j)
-    return ((i, j) for i, a in enumerate(els) for j in by_src.get(a.tgt, ()))
-
-
-def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False,
-                    mode: str | None = None) -> StructureTable:
+def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False) -> StructureTable:
     """All pairwise products of basis elements (zero/uncomposable pairs omitted).
 
     Weight triples are visited x, then y, then z, and each live triple
     fills its rows; products still come in composable order.
     """
-    the_mode = _mode(alpha, mode)
+    the_mode = _mode(alpha)
     weights, els = algebra_basis(shape, standard_only)
     # indices[x][y]: the table indices of Hom(x, y), one int object each,
     # shared by every key and term (x, y positions in ``weights``)
@@ -641,50 +623,52 @@ def _associativity(table: StructureTable) -> CheckResult:
 def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
     """Products agree across every nesting-compatible cup order.
 
-    Each weight triple is folded once per order; pairs are then compared
-    in composable order, and within a pair order by order.
+    At alpha = -1 the nested rules are compared: the minus product at an
+    explicit order is the +1 fold times a sign that does not depend on
+    the order, while the nested flip does.
     """
-    mode = _mode(alpha)
-    weights = enumerate_weights(shape)
-    orders = {y: list(cup_orders(weight_to_m(y))) for y in weights}
-    for x in weights:
-        for y in weights:
-            first, (_, *alts) = _ends(x, y).elements, orders[y]
-            if not (first and alts):
-                continue
-            # per z, each order's rows of the triple, row i as {j: terms}
-            triples = [(z, [[dict(row) for row in
-                             _triple_rows(x, y, z, mode, order, _ends(x, z).elements)
-                             or [()] * len(first)] for order in orders[y]])
-                       for z in weights if _ends(y, z).elements]
-            for i, a in enumerate(first):
-                for z, (want, *gots) in triples:
-                    for j, b in enumerate(_ends(y, z).elements):
-                        for order, got in zip(alts, gots):
-                            if got[i].get(j) != want[i].get(j):
-                                got, want = (AlgebraElement(x, z, dict(rows[i].get(j, ())))
-                                             for rows in (got, want))
-                                return CheckResult(False, f"a={a} b={b} order={order}: "
-                                                          f"{got.x_form()} != {want.x_form()}")
-    return CheckResult(True)
+    mode = "plus" if _mode(alpha) == "plus" else "nested"
+    return _disagreement(shape, lambda y: [(mode, order) for order in cup_orders(weight_to_m(y))],
+                         lambda a, b, variant, got, want:
+                         f"a={a} b={b} order={variant[1]}: {got.x_form()} != {want.x_form()}")
 
 
 def check_nested_agreement(shape: Shape) -> CheckResult:
     """multiply_nested agrees with multiply(alpha=-1) on every composable pair."""
-    return _nested_agreement(structure_table(shape, -1, mode="nested"),
-                             structure_table(shape, -1))
+    return _disagreement(shape, lambda y: [("minus", None), ("nested", None)],
+                         lambda a, b, variant, got, want:
+                         f"a={a} b={b}: nested {got.x_form()} != alpha=-1 {want.x_form()}")
 
 
-def _nested_agreement(nested: StructureTable, minus: StructureTable) -> CheckResult:
-    """check_nested_agreement on the built nested and alpha = -1 tables."""
-    els = minus.basis
-    for i, j in _composable(els):
-        lhs, rhs = nested.products.get((i, j), ()), minus.products.get((i, j), ())
-        if lhs != rhs:
-            a, b = els[i], els[j]
-            return CheckResult(False, f"a={a} b={b}: "
-                                      f"nested {_x_form(els, a.src, b.tgt, lhs)} "
-                                      f"!= alpha=-1 {_x_form(els, a.src, b.tgt, rhs)}")
+def _disagreement(shape: Shape, variants, witness) -> CheckResult:
+    """The first composable pair whose products disagree across ``variants``.
+
+    ``variants(y)`` lists the (mode, cup order) pairs to compare for
+    middle weight y, the reference first.  Each weight triple is folded
+    once per variant; pairs are then compared in composable order, and
+    within a pair variant by variant.  ``witness(a, b, variant, got,
+    want)`` words the failure, got and want as elements of Hom(x, z).
+    """
+    weights = enumerate_weights(shape)
+    per_y = {y: list(variants(y)) for y in weights}
+    for x in weights:
+        for y in weights:
+            first, (_, *alts) = _ends(x, y).elements, per_y[y]
+            if not (first and alts):
+                continue
+            # per z, each variant's rows of the triple, row i as {j: terms}
+            triples = [(z, [[dict(row) for row in
+                             _triple_rows(x, y, z, mode, order, _ends(x, z).elements)
+                             or [()] * len(first)] for mode, order in per_y[y]])
+                       for z in weights if _ends(y, z).elements]
+            for i, a in enumerate(first):
+                for z, (want, *gots) in triples:
+                    for j, b in enumerate(_ends(y, z).elements):
+                        for variant, got in zip(alts, gots):
+                            if got[i].get(j) != want[i].get(j):
+                                got, want = (AlgebraElement(x, z, dict(rows[i].get(j, ())))
+                                             for rows in (got, want))
+                                return CheckResult(False, witness(a, b, variant, got, want))
     return CheckResult(True)
 
 

@@ -220,18 +220,6 @@ class CupDiagram(_Checked, _CupFields):
     def k(self) -> int:
         return len(self.cups)
 
-    def sigma(self, i: int) -> int:
-        """Cup partner of i; raises on rays."""
-        for a, b in self.cups:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        raise ValidationError(f"point {i} is a ray; sigma undefined")
-
-    def is_matched(self, i: int) -> bool:
-        return i not in self.rays
-
     def left_ends(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.cups)
 
@@ -594,12 +582,9 @@ class EquivalenceData(NamedTuple):
 
 
 def _single_relation(c: CupDiagram) -> list[tuple[int, int]]:
-    # a ~ sigma(a+1) whenever a+1 is matched
-    rels = []
-    for a in range(0, c.n):
-        if c.is_matched(a + 1):
-            rels.append((a, c.sigma(a + 1)))
-    return rels
+    # a ~ the cup partner of a+1 whenever a+1 is on a cup
+    partner = {p: q for a, b in c.cups for p, q in ((a, b), (b, a))}
+    return [(a, partner[a + 1]) for a in range(c.n) if a + 1 in partner]
 
 
 def single_equivalence(c: CupDiagram) -> tuple[tuple[int, ...], ...]:

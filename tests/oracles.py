@@ -21,7 +21,7 @@ from functools import lru_cache
 import networkx as nx
 
 from arcalg.arc_algebra import (AlgebraElement, BasisElement, CheckResult,
-                                StructureTable, _mode, _triple_rows, algebra_basis,
+                                StructureTable, _triple_rows, algebra_basis,
                                 basis, canonical_order, diagram_of)
 from arcalg.diagrams import Shape
 from arcalg.diagrams import (CIRCLE, DOWN, LINE, UP, Component, Weight,
@@ -830,21 +830,24 @@ def movie_product_oracle(ba: BasisElement, bb: BasisElement, mode: str,
 # the package's earlier table builder: every composable pair through the movie
 
 
-def movie_table_oracle(shape: Shape, alpha: int, mode: str | None = None) -> StructureTable:
-    """structure_table(shape, alpha, mode=mode), the compiled movie folded for
-    every weight triple at the canonical cup order, given explicitly."""
-    the_mode = _mode(alpha, mode)
+def movie_rows_oracle(x: Weight, y: Weight, z: Weight, mode: str, index) -> list | None:
+    """_triple_rows(x, y, z, mode, None, index), the compiled movie folded
+    under rule set ``mode`` at the canonical cup order, given explicitly."""
+    return _triple_rows(x, y, z, mode, canonical_order(weight_to_m(y)), index)
+
+
+def movie_table_oracle(shape: Shape, alpha: int, mode: str) -> StructureTable:
+    """structure_table(shape, alpha), every weight triple's rows read off
+    movie_rows_oracle under rule set ``mode``."""
     weights, els = algebra_basis(shape)
     index = {b: i for i, b in enumerate(els)}
     products = {}
     for x in weights:
         for y in weights:
-            order = canonical_order(weight_to_m(y))
             for z in weights:
                 first, second = basis(x, y), basis(y, z)
                 if first and second:
-                    rows = _triple_rows(x, y, z, the_mode, order,
-                                        [index[t] for t in basis(x, z)])
+                    rows = movie_rows_oracle(x, y, z, mode, [index[t] for t in basis(x, z)])
                     for a, row in zip(first, rows or ()):
                         for j, terms in row:
                             products[(index[a], index[second[j]])] = terms

@@ -19,7 +19,7 @@ from arcalg.diagrams import (UP, Shape, ValidationError, Weight, diagram_of,
                              enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
 from oracles import (_is_high, associativity_scan_oracle, component_census_oracle,
-                     direct_product_oracle, movie_table_oracle)
+                     direct_product_oracle, movie_rows_oracle, movie_table_oracle)
 
 W = Weight.parse
 NXT = W("v^v^")
@@ -160,14 +160,11 @@ def test_bad_order_rejected():
 
 @pytest.mark.parametrize("call", [
     lambda: structure_table(Shape(4, 2), 2),
-    lambda: structure_table(Shape(4, 2), 1, mode="bogus"),
-    lambda: structure_table(Shape(4, 2), 1, mode="nested"),
     lambda: check_associativity(Shape(4, 2), 0),
     lambda: check_order_independence(Shape(4, 2), 5),
     lambda: check_degree_additivity(Shape(4, 2), 3),
     lambda: multiply(one(NESTED, NXT), one(NXT, NESTED), 2),
-], ids=["table-alpha", "table-bogus-mode", "table-nested-plus", "assoc-alpha",
-        "orders-alpha", "degree-alpha", "multiply-alpha"])
+], ids=["table-alpha", "assoc-alpha", "orders-alpha", "degree-alpha", "multiply-alpha"])
 def test_bad_alpha_or_mode_rejected(call):
     with pytest.raises(ValidationError):
         call()
@@ -487,14 +484,29 @@ def test_plus_product_matches_direct_oracle_4_2():
                 assert {str(t.orient): c for t, c in got.terms.items()} == want
 
 
-@pytest.mark.parametrize("kwargs", [{"alpha": 1}, {"alpha": -1}, {"alpha": -1, "mode": "nested"}],
-                         ids=["plus", "minus", "nested"])
-@pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 8) for k in range(n // 2 + 1)],
-                         ids=str)
-def test_table_matches_the_movie_pair_by_pair(shape, kwargs):
-    # alpha +-1 read off each triple's components, nested folded per live triple
+SHAPES_TO_7 = [Shape(n, k) for n in range(1, 8) for k in range(n // 2 + 1)]
+
+
+@pytest.mark.parametrize("alpha, mode", [(1, "plus"), (-1, "minus")], ids=["plus", "minus"])
+@pytest.mark.parametrize("shape", SHAPES_TO_7, ids=str)
+def test_table_matches_the_movie_pair_by_pair(shape, alpha, mode):
+    # alpha +-1 read off each triple's components
     arc_algebra.clear_caches()
-    assert structure_table(shape, **kwargs).to_json() == movie_table_oracle(shape, **kwargs).to_json()
+    assert structure_table(shape, alpha).to_json() == movie_table_oracle(shape, alpha, mode).to_json()
+
+
+@pytest.mark.parametrize("shape", SHAPES_TO_7, ids=str)
+def test_nested_rows_match_the_movie_triple_by_triple(shape):
+    # at the default order the convolution decides which triples are live
+    def products(rows):
+        return {(i, j): terms for i, row in enumerate(rows or ()) for j, terms in row}
+
+    arc_algebra.clear_caches()
+    for x, y, z in itertools.product(enumerate_weights(shape), repeat=3):
+        if basis(x, y) and basis(y, z):
+            index = range(len(basis(x, z)))
+            assert (products(arc_algebra._triple_rows(x, y, z, "nested", None, index))
+                    == products(movie_rows_oracle(x, y, z, "nested", index))), (x, y, z)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -583,11 +595,11 @@ def test_plus_and_minus_tables_compile_no_movie():
         structure_table(Shape(6, 3), alpha)
     assert arc_algebra._compile_movie.cache_info().currsize == 0
     assert arc_algebra._twist.cache_info().currsize > 0
-    structure_table(Shape(4, 2), -1, mode="nested")
+    check_nested_agreement(Shape(4, 2))
     assert arc_algebra._compile_movie.cache_info().currsize > 0
-    # The nested table runs at the canonical order, which flips no sign,
-    # and alpha +1 carries none: neither walks a twist.
-    for job in (lambda: structure_table(Shape(6, 3), -1, mode="nested"),
+    # A nested product at the canonical order flips no sign, and alpha +1
+    # carries none: neither walks a twist.
+    for job in (lambda: multiply_nested(one(NESTED, NXT), one(NXT, NESTED)),
                 lambda: check_order_independence(Shape(6, 3), 1)):
         arc_algebra.clear_caches()
         job()

@@ -217,10 +217,10 @@ def _count_table_builds(monkeypatch, module):
     builds = {}
     real = module.structure_table
 
-    def counting(shape, alpha=1, standard_only=False, mode=None):
-        key = (shape, alpha, mode)
+    def counting(shape, alpha=1, standard_only=False):
+        key = (shape, alpha)
         builds[key] = builds.get(key, 0) + 1
-        return real(shape, alpha, standard_only, mode)
+        return real(shape, alpha, standard_only)
 
     monkeypatch.setattr(module, "structure_table", counting)
     return builds
@@ -234,7 +234,7 @@ def test_check_all_builds_each_table_once(monkeypatch, capsys, alpha):
     assert code == (0 if alpha == 1 else 2)
     assert out.count(": PASS") + out.count(": FAIL") == 4
     shape = Shape(4, 2)
-    assert builds == {(shape, alpha, None): 1, (shape, -1, "nested"): 1, (shape, -1, None): 1}
+    assert builds == {(shape, alpha): 1}
 
 
 def test_run_checks_builds_each_table_once_per_shape(monkeypatch, capsys):
@@ -246,5 +246,4 @@ def test_run_checks_builds_each_table_once_per_shape(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["run_checks.py", "--max-n", "3"])
     assert script.main() == 0
     assert capsys.readouterr().out.count(": PASS") == 2 * 9
-    assert builds == {(Shape(n, k), alpha, mode): 1 for n, k in ((2, 1), (3, 1))
-                      for alpha, mode in ((1, None), (-1, None), (-1, "nested"))}
+    assert builds == {(Shape(n, k), alpha): 1 for n, k in ((2, 1), (3, 1)) for alpha in (1, -1)}

@@ -3,8 +3,7 @@
 The digests were recorded from the reference movie engine (now in
 ``oracles.py``) before the movie was compiled per weight triple; any
 change to a structure constant, to the basis order or to the JSON layout
-shows up here.  Nested mode agrees with alpha = -1 and its table records
-alpha -1, so it shares the alpha = -1 digest.
+shows up here.
 """
 import hashlib
 
@@ -56,7 +55,6 @@ def _digest(shape: Shape, **kwargs) -> str:
 @pytest.mark.parametrize("label,kwargs,which", [
     ("plus", {"alpha": 1}, 0),
     ("minus", {"alpha": -1}, 1),
-    ("nested", {"alpha": -1, "mode": "nested"}, 1),
 ])
 def test_table_digest(n, k, label, kwargs, which):
     clear_caches()
