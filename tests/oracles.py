@@ -836,9 +836,10 @@ def movie_rows_oracle(x: Weight, y: Weight, z: Weight, mode: str, index) -> list
     return _triple_rows(x, y, z, mode, canonical_order(weight_to_m(y)), index)
 
 
-def movie_table_oracle(shape: Shape, alpha: int, mode: str) -> StructureTable:
-    """structure_table(shape, alpha), every weight triple's rows read off
-    movie_rows_oracle under rule set ``mode``."""
+def rows_table(shape: Shape, alpha: int, rows) -> StructureTable:
+    """A structure table labelled ``alpha`` whose composable weight triples
+    fill their products from ``rows(x, y, z, index)``, a list of
+    _triple_rows rows or None."""
     weights, els = algebra_basis(shape)
     index = {b: i for i, b in enumerate(els)}
     products = {}
@@ -847,11 +848,16 @@ def movie_table_oracle(shape: Shape, alpha: int, mode: str) -> StructureTable:
             for z in weights:
                 first, second = basis(x, y), basis(y, z)
                 if first and second:
-                    rows = movie_rows_oracle(x, y, z, mode, [index[t] for t in basis(x, z)])
-                    for a, row in zip(first, rows or ()):
+                    for a, row in zip(first, rows(x, y, z, [index[t] for t in basis(x, z)]) or ()):
                         for j, terms in row:
                             products[(index[a], index[second[j]])] = terms
     return StructureTable(shape, alpha, weights, els, products)
+
+
+def movie_table_oracle(shape: Shape, alpha: int, mode: str) -> StructureTable:
+    """structure_table(shape, alpha), every weight triple's rows read off
+    movie_rows_oracle under rule set ``mode``."""
+    return rows_table(shape, alpha, lambda x, y, z, index: movie_rows_oracle(x, y, z, mode, index))
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,12 @@ def test_bad_order_rejected():
     lambda: check_associativity(Shape(4, 2), 0),
     lambda: check_order_independence(Shape(4, 2), 5),
     lambda: check_degree_additivity(Shape(4, 2), 3),
+    lambda: check_unit(Shape(4, 2), 0),
     lambda: multiply(one(NESTED, NXT), one(NXT, NESTED), 2),
-], ids=["table-alpha", "assoc-alpha", "orders-alpha", "degree-alpha", "multiply-alpha"])
+    # inner cup (2,3) before the containing (1,4), under the nested rules
+    lambda: multiply_nested(one(NXT, NESTED), one(NESTED, NXT), order=[(2, 3), (1, 4)]),
+], ids=["table-alpha", "assoc-alpha", "orders-alpha", "degree-alpha", "unit-alpha",
+        "multiply-alpha", "nested-order"])
 def test_bad_alpha_or_mode_rejected(call):
     with pytest.raises(ValidationError):
         call()

@@ -3,14 +3,17 @@
 The digests were recorded from the reference movie engine (now in
 ``oracles.py``) before the movie was compiled per weight triple; any
 change to a structure constant, to the basis order or to the JSON layout
-shows up here.
+shows up here.  The nested TQFT product (``multiply_nested``) agrees
+with alpha = -1 for n <= 6, so its table, assembled here from the nested
+rows of each weight triple, shares the alpha = -1 digest.
 """
 import hashlib
 
 import pytest
 
-from arcalg.arc_algebra import clear_caches, structure_table
+from arcalg.arc_algebra import _triple_rows, clear_caches, structure_table
 from arcalg.diagrams import Shape
+from oracles import rows_table
 
 # (n, k): (alpha = +1 digest, alpha = -1 digest)
 DIGESTS = {
@@ -47,15 +50,22 @@ DIGESTS = {
 }
 
 
-def _digest(shape: Shape, **kwargs) -> str:
-    return hashlib.sha256(structure_table(shape, **kwargs).to_json().encode()).hexdigest()
+def _nested_table(shape: Shape, alpha: int):
+    return rows_table(shape, alpha,
+                      lambda x, y, z, index: _triple_rows(x, y, z, "nested", None, index))
+
+
+def _digest(table) -> str:
+    return hashlib.sha256(table.to_json().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("n,k", sorted(DIGESTS))
 @pytest.mark.parametrize("label,kwargs,which", [
     ("plus", {"alpha": 1}, 0),
     ("minus", {"alpha": -1}, 1),
+    ("nested", {"alpha": -1}, 1),
 ])
 def test_table_digest(n, k, label, kwargs, which):
     clear_caches()
-    assert _digest(Shape(n, k), **kwargs) == DIGESTS[(n, k)][which], label
+    build = _nested_table if label == "nested" else structure_table
+    assert _digest(build(Shape(n, k), **kwargs)) == DIGESTS[(n, k)][which], label
