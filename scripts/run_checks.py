@@ -47,10 +47,11 @@ def main() -> int:
             ("assoc(+1)", lambda: _associativity(table(1)), True),
             ("assoc(-1)", lambda: _associativity(table(-1)), None),
         ]:
-            t0 = time.time()
+            t0 = time.perf_counter()
             res = run()
+            elapsed = time.perf_counter() - t0
             verdict = "PASS" if res.ok else "FAIL"
-            line = f"({shape.n},{shape.k}) {name:>11}: {verdict}  [{time.time()-t0:6.2f}s]"
+            line = f"({shape.n},{shape.k}) {name:>11}: {verdict}  [{elapsed:6.2f}s]"
             if not res.ok:
                 line += f"  witness: {res.witness}"
             print(line, flush=True)

@@ -42,7 +42,7 @@ from .diagrams import (CIRCLE, CircleDiagram, Shape, UP,
                        ValidationError, Weight, _Checked, diagram_of,
                        enumerate_standard, enumerate_weights, orientation_degree,
                        orientations, render_circle_diagram, weight_of_tableau,
-                       weight_sort_key, weight_to_m)
+                       weight_to_m)
 
 
 class CompositionError(ValidationError):
@@ -63,15 +63,14 @@ class BasisElement(NamedTuple):
         return f"[{self.src}|{self.tgt}|{self.orient}]"
 
 
-@lru_cache(maxsize=8192)
 def basis(x: Weight, y: Weight) -> tuple[BasisElement, ...]:
-    """All basis elements of Hom(x, y), in orientation order: ``_ends(x, y).elements``."""
+    """All basis elements of Hom(x, y), in orientation order; ``_ends`` holds them."""
     return _ends(x, y).elements
 
 
 def degree(b: BasisElement) -> int:
-    """Arcs whose left endpoint carries an up mark; rays contribute nothing."""
-    return orientation_degree(b.diagram(), b.orient)
+    """Arcs whose left endpoint carries an up mark; ValidationError off the basis."""
+    return _ends(b.src, b.tgt).degrees[_position(b.src, b.tgt, b)]
 
 
 class _ElementFields(NamedTuple):
@@ -83,18 +82,17 @@ class _ElementFields(NamedTuple):
 class AlgebraElement(_Checked, _ElementFields):
     """Integer combination of basis elements of one Hom space.
 
-    ``terms`` drops zero coefficients; it is a dict, so elements do not hash.
+    ``terms`` drops zero coefficients and keeps the rest in basis order (a
+    term outside it raises ValidationError); a dict, so elements do not hash.
     """
 
     __slots__ = ()
 
     def __new__(cls, src: Weight, tgt: Weight,
                 terms: dict[BasisElement, int] | None = None) -> "AlgebraElement":
-        terms = {b: c for b, c in (terms or {}).items() if c != 0}
-        for b in terms:
-            if (b.src, b.tgt) != (src, tgt):
-                raise ValidationError("terms must share src and tgt")
-        return tuple.__new__(cls, (src, tgt, terms))
+        at = {_position(src, tgt, b): c for b, c in (terms or {}).items() if c != 0}
+        elements = _ends(src, tgt).elements
+        return tuple.__new__(cls, (src, tgt, {elements[i]: at[i] for i in sorted(at)}))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -103,7 +101,7 @@ class AlgebraElement(_Checked, _ElementFields):
         """Render as a polynomial in the leftmost-point generators."""
         if not self.terms:
             return "0"
-        hom = _hom_of(self)
+        hom = _ends(self.src, self.tgt)
         rendered = []
         for b, c in self.terms.items():
             idxs = tuple(bit.bit_length() // 2 for bit in _bits(hom.labels[hom.index[b]]))
@@ -119,15 +117,13 @@ class AlgebraElement(_Checked, _ElementFields):
     def __str__(self) -> str:
         if not self.terms:
             return f"0 [{self.src}->{self.tgt}]"
-        return " ".join(f"{c:+d}*{b}" for b, c in sorted(
-            self.terms.items(), key=lambda t: weight_sort_key(t[0].orient)))
+        return " ".join(f"{c:+d}*{b}" for b, c in self.terms.items())
 
 
 def idempotent(x: Weight) -> AlgebraElement:
     """Degree-0 element of Hom(x, x); x itself orients its self-glued diagram."""
     e = BasisElement(x, x, x)
-    hom = _ends(x, x)
-    if d := hom.degrees[hom.index[e]]:
+    if d := degree(e):
         raise RuntimeError(f"{x} orients its own diagram in degree {d}, not 0")
     return AlgebraElement(x, x, {e: 1})
 
@@ -166,13 +162,12 @@ class _Hom(NamedTuple):
     caps: int  # the left ends of the upper diagram's cups
 
 
-def _hom_of(el: AlgebraElement) -> _Hom:
-    """Hom(src, tgt) of ``el``; a term outside its basis raises ValidationError."""
-    hom = _ends(el.src, el.tgt)
-    for t in el.terms:
-        if t not in hom.index:
-            raise ValidationError(f"{t} is not a basis element of Hom({el.src}, {el.tgt})")
-    return hom
+def _position(src: Weight, tgt: Weight, b: BasisElement) -> int:
+    """Where ``b`` sits in the basis of Hom(src, tgt); ValidationError if nowhere."""
+    i = _ends(src, tgt).index.get(b)
+    if i is None:
+        raise ValidationError(f"{b} is not a basis element of Hom({src}, {tgt})")
+    return i
 
 
 def _mask(columns) -> int:
@@ -339,7 +334,7 @@ def _bits(mask: int) -> list[int]:
 
 
 def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
-                 cup_order: tuple[tuple[int, int], ...] | None, index) -> list | None:
+                 cup_order: tuple[tuple[int, int], ...] | None, index, _only=None) -> list | None:
     """The products of Hom(x, y) with Hom(y, z), or None where all vanish.
 
     Row i lists (j, ((index[k], coeff), ...)) for element i of Hom(x, y)
@@ -347,12 +342,13 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
     over Hom(x, z).  At ``cup_order`` None the convolution decides which
     triples are live, and plus and minus mode read it; nested mode and
     explicit orders fold the compiled movie, each pair (i, j) a load of
-    its own, i << w | j.  Minus mode multiplies the +1 product by
-    (-1)**(pa + pb + twist at the canonical order) and negates odd-parity
-    terms, turning leftmost-x classes into z-classes (z_i = (-1)**i x_i)
-    at both ends.  On movies with handles (n >= 6) the splitting cups vary
-    with the order, so a nested product is negated (flipped) where the
-    twist at ``cup_order`` differs.
+    its own, i << w | j; ``_only`` = (the i's, the j's) folds just those
+    pairs and leaves the rest zero, and None folds every pair.  Minus mode
+    multiplies the +1 product by (-1)**(pa + pb + twist at the canonical
+    order) and negates odd-parity terms, turning leftmost-x classes into
+    z-classes (z_i = (-1)**i x_i) at both ends.  On movies with handles
+    (n >= 6) the splitting cups vary with the order, so a nested product is
+    negated (flipped) where the twist at ``cup_order`` differs.
     """
     if cup_order is None and (kernel := _convolution(x, y, z)) is None:
         return None
@@ -365,9 +361,11 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
         sign = -1 if mode == "nested" and cup_order is not None and (
             _twist(x, y, z, cup_order) != _twist(x, y, z, None)) else 1  # the flip
         outs = [None] * (len(hxy.labels) << w)
-        for i, la in enumerate(hxy.labels):
-            for j, lb in enumerate(hyz.labels):
-                terms = _fold(events, mode == "nested", {la | lb << 1: sign})
+        firsts, seconds = _only or (range(len(hxy.labels)), range(len(hyz.labels)))
+        for i in firsts:
+            for j in seconds:
+                load = hxy.labels[i] | hyz.labels[j] << 1
+                terms = _fold(events, mode == "nested", {load: sign})
                 try:
                     outs[i << w | j] = tuple(sorted((hxz.at[labels], c)
                                                     for labels, c in terms.items()))
@@ -396,9 +394,9 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
 
 
 def clear_caches() -> None:
-    """Empty every memo: convolutions, compiled movies, twists, Hom spaces, bases, m(w)
-    and the glued pairs of :mod:`arcalg.cohomology` (``_glued_intersection``)."""
-    for memo in (_convolution, _compile_movie, _twist, canonical_order, _ends, basis,
+    """Empty every memo: convolutions, compiled movies, twists, Hom spaces and their
+    bases, m(w) and the glued pairs of :mod:`arcalg.cohomology` (``_glued_intersection``)."""
+    for memo in (_convolution, _compile_movie, _twist, canonical_order, _ends,
                  weight_to_m, _glued_intersection):
         memo.cache_clear()
 
@@ -425,14 +423,14 @@ def _expand(terms: dict, product) -> dict:
 def _compose(a: AlgebraElement, b: AlgebraElement, mode: str, order) -> AlgebraElement:
     if a.tgt != b.src:
         raise CompositionError(f"cannot compose {a.src}->{a.tgt} with {b.src}->{b.tgt}")
-    hxy, hyz = _hom_of(a), _hom_of(b)
+    coeffs_a = {_ends(a.src, a.tgt).index[t]: c for t, c in a.terms.items()}
+    coeffs_b = {_ends(b.src, b.tgt).index[t]: c for t, c in b.terms.items()}
     cup_order = _validate_order(weight_to_m(a.tgt), order)
-    rows = (_triple_rows(a.src, a.tgt, b.tgt, mode, cup_order, _ends(a.src, b.tgt).elements)
-            or [()] * len(hxy.elements))
-    coeffs_b = {hyz.index[t]: c for t, c in b.terms.items()}
+    rows = _triple_rows(a.src, a.tgt, b.tgt, mode, cup_order, basis(a.src, b.tgt),
+                        (coeffs_a, coeffs_b))
     out: dict[BasisElement, int] = defaultdict(int)
-    for ta, ca in a.terms.items():
-        for j, terms in rows[hxy.index[ta]]:
+    for i, ca in coeffs_a.items():
+        for j, terms in rows[i] if rows else ():
             for t, c in terms:
                 out[t] += ca * coeffs_b.get(j, 0) * c
     return AlgebraElement(a.src, b.tgt, out)
@@ -470,9 +468,6 @@ class StructureTable(NamedTuple):
     basis: tuple[BasisElement, ...]
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
-    def index(self, b: BasisElement) -> int:
-        return self.basis.index(b)
-
     def to_json(self) -> str:
         return json.dumps({
             "shape": [self.shape.n, self.shape.k],
@@ -486,16 +481,21 @@ class StructureTable(NamedTuple):
 
     @staticmethod
     def from_json(text: str) -> "StructureTable":
+        """The table of ``to_json``; ValidationError if its basis or an index is off."""
         data = json.loads(text)
+        weights = tuple(Weight.parse(w) for w in data["weights"])
         basis_ = tuple(BasisElement(Weight.parse(d["src"]), Weight.parse(d["tgt"]),
                                     Weight.parse(d["orient"])) for d in data["basis"])
+        if basis_ != tuple(b for x in weights for y in weights for b in basis(x, y)):
+            raise ValidationError("the table's basis is not that of its weights")
         products = {}
         for key, terms in data["products"].items():
             i, j = key.split(",")
             products[(int(i), int(j))] = tuple(tuple(t) for t in terms)
-        return StructureTable(Shape(*data["shape"]), data["alpha"],
-                              tuple(Weight.parse(w) for w in data["weights"]),
-                              basis_, products)
+            if not all(0 <= k < len(basis_) for k in (int(i), int(j), *(t[0] for t in terms))):
+                raise ValidationError(f"product {key} names no element of a basis "
+                                      f"of size {len(basis_)}")
+        return StructureTable(Shape(*data["shape"]), data["alpha"], weights, basis_, products)
 
     def text_dump(self) -> str:
         lines = [f"shape ({self.shape.n},{self.shape.k})  alpha={self.alpha:+d}  "
@@ -680,8 +680,7 @@ def check_degree_additivity(shape: Shape, alpha: int = 1) -> CheckResult:
 def _degree_additivity(table: StructureTable) -> CheckResult:
     """check_degree_additivity on a built table."""
     els = table.basis
-    # the basis runs over Hom(x, y) for x, then y, in ``table.weights``
-    degrees = [d for x in table.weights for y in table.weights for d in _ends(x, y).degrees]
+    degrees = [degree(b) for b in els]
     for (i, j), terms in table.products.items():  # in composable order
         want = degrees[i] + degrees[j]
         for t, _ in terms:

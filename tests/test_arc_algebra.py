@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import json
 import pkgutil
 
 import pytest
@@ -73,10 +74,10 @@ def test_x_form_reads_the_hom_space_and_glues_nothing(count_glues):
 
 
 def test_x_form_rejects_terms_outside_the_basis():
-    stray = AlgebraElement(W("v^"), W("v^"), {BasisElement(W("v^"), W("v^"), W("vv")): 1})
+    # the element is refused when built, so x_form never meets the stray term
     with pytest.raises(ValidationError, match=r"\[v\^\|v\^\|vv\] is not a basis element "
                                               r"of Hom\(v\^, v\^\)"):
-        stray.x_form()
+        AlgebraElement(W("v^"), W("v^"), {BasisElement(W("v^"), W("v^"), W("vv")): 1})
 
 
 def test_idempotent_reads_its_degree_off_the_hom_space(count_glues):
@@ -87,6 +88,15 @@ def test_idempotent_reads_its_degree_off_the_hom_space(count_glues):
     for x in ws:
         assert idempotent(x).terms == {BasisElement(x, x, x): 1}
     assert calls == [0]
+
+
+def test_degree_reads_the_hom_space_and_glues_nothing(count_glues):
+    els = basis(NXT, NESTED)
+    calls = count_glues()
+    assert sorted(degree(b) for b in els) == [1, 3]
+    assert calls == [0]
+    with pytest.raises(ValidationError, match=r"\[v\^v\^\|vv\^\^\|vv\^\^\] is not a basis element"):
+        degree(BasisElement(NXT, NESTED, NESTED))
 
 
 def test_single_circle_degrees():
@@ -139,11 +149,41 @@ def test_composition_error():
 
 def test_terms_outside_the_basis_are_rejected():
     # vv does not orient the ray diagram of v^, so it is no basis element
-    stray = AlgebraElement(W("v^"), W("v^"), {BasisElement(W("v^"), W("v^"), W("vv")): 1})
     with pytest.raises(ValidationError, match=r"\[v\^\|v\^\|vv\] is not a basis element"):
-        multiply(stray, idempotent(W("v^")))
-    with pytest.raises(ValidationError):
-        multiply_nested(idempotent(W("v^")), stray)
+        AlgebraElement(W("v^"), W("v^"), {BasisElement(W("v^"), W("v^"), W("vv")): 1})
+    # a basis element of another Hom space is no term of this one
+    with pytest.raises(ValidationError, match=r"is not a basis element of Hom\(v\^v\^, vv\^\^\)"):
+        AlgebraElement(NXT, NESTED, {BasisElement(NESTED, NXT, NXT): 1})
+
+
+def test_terms_come_out_in_basis_order():
+    els = basis(NXT, NESTED)
+    terms = {b: c for b, c in zip(reversed(els), (2, -1))}
+    el = AlgebraElement(NXT, NESTED, terms)
+    assert list(el.terms) == list(els) and el.terms == terms
+    assert el == AlgebraElement(NXT, NESTED, dict(reversed(terms.items())))
+    assert str(el) == "-1*[v^v^|vv^^|^v^v] +2*[v^v^|vv^^|v^v^]"  # as when str sorted them
+
+
+@pytest.mark.parametrize("product", [
+    multiply_nested,
+    lambda a, b: multiply(a, b, 1, order=canonical_order(weight_to_m(a.tgt))),
+    lambda a, b: multiply(a, b, -1, order=canonical_order(weight_to_m(a.tgt))),
+], ids=["nested", "plus-order", "minus-order"])
+def test_one_term_factors_fold_once(monkeypatch, product):
+    folds = [0]
+    real = arc_algebra._fold
+
+    def counted(*args):
+        folds[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(arc_algebra, "_fold", counted)
+    x, y, z = W("v^v^v^"), W("v^v^v^"), W("v^v^v^")  # 8 by 8 pairs, one of them folded
+    a, b = (AlgebraElement(s, t, {basis(s, t)[-1]: 1}) for s, t in ((x, y), (y, z)))
+    assert len(basis(x, y)) * len(basis(y, z)) == 64
+    product(a, b)
+    assert folds == [1]
 
 
 def test_bad_order_rejected():
@@ -331,7 +371,7 @@ def _corrupt_pair_in_tables(monkeypatch, corrupt):
 
     def fake(*args, **kwargs):
         table = real(*args, **kwargs)
-        key = tuple(table.index(b) for b in PAIR)
+        key = tuple(table.basis.index(b) for b in PAIR)
         return table._replace(
             products={**table.products, key: corrupt(table, table.products[key])})
 
@@ -341,7 +381,7 @@ def _corrupt_pair_in_tables(monkeypatch, corrupt):
 def _add_wrong_degree_term(table, terms):
     a, b = PAIR
     want = degree(a) + degree(b)
-    t = table.index(next(t for t in basis(a.src, b.tgt) if degree(t) != want))
+    t = table.basis.index(next(t for t in basis(a.src, b.tgt) if degree(t) != want))
     out = dict(terms)
     out[t] = out.get(t, 0) + 1
     return tuple(sorted((k, c) for k, c in out.items() if c))
@@ -569,8 +609,8 @@ MEMOS = _memos()
 
 def test_the_scan_finds_every_memo():
     assert {m.__wrapped__.__qualname__ for m in MEMOS} == {
-        "_convolution", "_compile_movie", "_twist", "canonical_order", "_ends", "basis",
-        "weight_to_m", "_glued_intersection"}
+        "_convolution", "_compile_movie", "_twist", "canonical_order", "_ends", "weight_to_m",
+        "_glued_intersection"}
 
 
 def test_clear_caches_empties_every_memo():
@@ -630,7 +670,7 @@ def test_two_point_table_is_dual_numbers():
     table = structure_table(Shape(2, 1), alpha=1, standard_only=True)
     assert len(table.basis) == 2
     by_deg = sorted(table.basis, key=degree)
-    e, x = table.index(by_deg[0]), table.index(by_deg[1])
+    e, x = table.basis.index(by_deg[0]), table.basis.index(by_deg[1])
     assert table.products[(e, e)] == ((e, 1),)
     assert table.products[(e, x)] == ((x, 1),)
     assert table.products[(x, e)] == ((x, 1),)
@@ -644,6 +684,20 @@ def test_table_json_round_trip():
     assert again.alpha == table.alpha
     assert again.basis == table.basis
     assert again.products == table.products
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # an orientation that orients nothing in place of the first basis element
+    (lambda data: data["basis"].__setitem__(0, {"src": "^v", "tgt": "^v", "orient": "vv"}),
+     "basis is not that of its weights"),
+    # a product naming element 9 of a basis of 2
+    (lambda data: data["products"].__setitem__("0,9", [[0, 1]]), "product 0,9 names no element"),
+], ids=["basis", "index"])
+def test_table_json_rejects_a_tampered_table(tamper, message):
+    data = json.loads(structure_table(Shape(2, 1)).to_json())
+    tamper(data)
+    with pytest.raises(ValidationError, match=message):
+        StructureTable.from_json(json.dumps(data))
 
 
 def test_table_text_dump_mentions_every_element():

@@ -38,7 +38,8 @@ VALUES = {
     "OddNormalization": (lambda: odd_normalization(X, Y), []),
     "BasisElement": (lambda: BasisElement(X, X, X), []),
     "AlgebraElement": (lambda: idempotent(X),
-                       [{"terms": {BasisElement(Y, Y, Y): 1}}]),
+                       [{"terms": {BasisElement(Y, Y, Y): 1}},  # a term of another Hom
+                        {"terms": {BasisElement(X, X, Y): 1}}]),  # Y does not orient X | X
     "StructureTable": (lambda: structure_table(Shape(4, 2)), []),
     "CheckResult": (lambda: check_associativity(Shape(4, 2), -1), []),
     "K0Matrix": (lambda: k0_matrix(Shape(4, 2)), []),
