@@ -154,6 +154,9 @@ def test_terms_outside_the_basis_are_rejected():
     # a basis element of another Hom space is no term of this one
     with pytest.raises(ValidationError, match=r"is not a basis element of Hom\(v\^v\^, vv\^\^\)"):
         AlgebraElement(NXT, NESTED, {BasisElement(NESTED, NXT, NXT): 1})
+    # no Hom space joins weights of different lengths, not even a zero one
+    with pytest.raises(ValidationError, match="cannot glue diagrams on 4 and 2 points"):
+        AlgebraElement(W("v^"), NXT)
 
 
 def test_terms_come_out_in_basis_order():
@@ -179,10 +182,10 @@ def test_one_term_factors_fold_once(monkeypatch, product):
         return real(*args)
 
     monkeypatch.setattr(arc_algebra, "_fold", counted)
-    x, y, z = W("v^v^v^"), W("v^v^v^"), W("v^v^v^")  # 8 by 8 pairs, one of them folded
-    a, b = (AlgebraElement(s, t, {basis(s, t)[-1]: 1}) for s, t in ((x, y), (y, z)))
-    assert len(basis(x, y)) * len(basis(y, z)) == 64
-    product(a, b)
+    x = W("v^v^v^")  # Hom(x, x) has 8 elements, so the triple (x, x, x) has 64 pairs
+    a = AlgebraElement(x, x, {basis(x, x)[-1]: 1})
+    assert len(basis(x, x)) == 8
+    product(a, a)
     assert folds == [1]
 
 
@@ -686,16 +689,15 @@ def test_table_json_round_trip():
     assert again.products == table.products
 
 
-@pytest.mark.parametrize("tamper, message", [
-    # an orientation that orients nothing in place of the first basis element
-    (lambda data: data["basis"].__setitem__(0, {"src": "^v", "tgt": "^v", "orient": "vv"}),
-     "basis is not that of its weights"),
-    # a product naming element 9 of a basis of 2
-    (lambda data: data["products"].__setitem__("0,9", [[0, 1]]), "product 0,9 names no element"),
+@pytest.mark.parametrize("field, key, value, message", [
+    # vv orients no diagram of (2,1): [^v|^v|vv] is no basis element
+    ("basis", 0, {"src": "^v", "tgt": "^v", "orient": "vv"}, "basis is not that of its weights"),
+    # the (2,1) basis has 5 elements
+    ("products", "0,9", [[0, 1]], "product 0,9 names no element"),
 ], ids=["basis", "index"])
-def test_table_json_rejects_a_tampered_table(tamper, message):
+def test_table_json_rejects_a_tampered_table(field, key, value, message):
     data = json.loads(structure_table(Shape(2, 1)).to_json())
-    tamper(data)
+    data[field][key] = value
     with pytest.raises(ValidationError, match=message):
         StructureTable.from_json(json.dumps(data))
 
