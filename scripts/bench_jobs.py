@@ -10,9 +10,11 @@ and which tree goes first alternates between repetitions.
 
 Per run the file records the commit of the tree, the wall time of the
 call alone (interpreter start and imports excluded), the peak RSS right
-after it, and the SHA-256 of the table's ``to_json()`` (of the
-witness, for a failing check).  Medians per (job, shape, alpha, commit)
-follow the runs.
+after the imports and right after the call, and the SHA-256 of the
+table's ``to_json()`` (of the witness, for a failing check).  Both
+peaks are the child's own ``VmHWM`` from ``/proc/self/status`` (Linux):
+``ru_maxrss`` would carry over the high-water mark of the process that
+spawned it.  Medians per (job, shape, alpha, commit) follow the runs.
 
 Usage:
     python scripts/bench_jobs.py [--src TREE [--src TREE]] [--shapes 6,3 8,4]
@@ -32,18 +34,22 @@ JOBS = ("structure_table", "check_associativity")
 
 # One run; argv: source directory, job, n, k, alpha.  Prints one JSON line.
 CHILD = """
-import hashlib, json, resource, sys, time
+import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
 from arcalg.arc_algebra import check_associativity, structure_table
 from arcalg.diagrams import Shape
+def high_water_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+imported = high_water_mb()
 job, shape, alpha = sys.argv[2], Shape(int(sys.argv[3]), int(sys.argv[4])), int(sys.argv[5])
 call = structure_table if job == "structure_table" else check_associativity
 start = time.perf_counter()
 result = call(shape, alpha)
 wall = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+peak = high_water_mb()
 text = result.to_json() if job == "structure_table" else result.witness
-print(json.dumps({"wall_s": wall, "peak_rss_mb": peak,
+print(json.dumps({"wall_s": wall, "import_rss_mb": imported, "peak_rss_mb": peak,
                   "ok": None if job == "structure_table" else result.ok,
                   "sha256": text and hashlib.sha256(text.encode()).hexdigest()}))
 """
@@ -82,6 +88,7 @@ def summarize(runs: list[dict]) -> list[dict]:
     return [{"job": job, "shape": list(shape), "alpha": alpha, "commit": commit,
              "runs": len(group),
              "median_wall_s": statistics.median(r["wall_s"] for r in group),
+             "median_import_rss_mb": statistics.median(r["import_rss_mb"] for r in group),
              "median_peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in group),
              "sha256": sorted({r["sha256"] for r in group}, key=str)}
             for (job, shape, alpha, commit), group in groups.items()]
@@ -126,7 +133,8 @@ def main() -> int:
                                "commit": commits[t], "repetition": rep, **measured}
                         runs.append(run)
                         print(f"{job} {shape} alpha {alpha:+d} {commits[t]}: "
-                              f"{run['wall_s']:.3f} s, {run['peak_rss_mb']:.1f} MB", flush=True)
+                              f"{run['wall_s']:.3f} s, {run['peak_rss_mb']:.1f} MB "
+                              f"({run['import_rss_mb']:.1f} MB after imports)", flush=True)
     report = {"python": platform.python_version(), "machine": platform.machine(),
               "nproc": os.cpu_count(), "commits": commits, "runs": runs,
               "summary": summarize(runs)}

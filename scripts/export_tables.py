@@ -5,19 +5,20 @@ Usage:
     python scripts/export_tables.py --out-dir out [--max-n 6]
 
 Writes, per shape, `table_nK_kK_alpha{+1,-1}.json`, a text dump with
-ASCII diagrams, and `k0_*.csv` for the balanced shapes.
+ASCII diagrams, and `k0_*.csv` for the balanced shapes.  Exit code 1
+on a usage error or if --max-n is below 2.
 """
-import argparse
 import pathlib
 import sys
 
 from arcalg.arc_algebra import structure_table
+from arcalg.cli import _Parser
 from arcalg.diagrams import Shape
 from arcalg.ktheory import k0_matrix
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser()
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--max-n", type=int, default=6)
     args = parser.parse_args()

@@ -1,29 +1,27 @@
 #!/usr/bin/env python3
 """Desk-scale verification report.
 
-Runs the exhaustive algebra checks over a range of shapes and prints one
-line per (shape, check).  The alpha = +1 and -1 structure tables are
-built once per shape and shared by the checks that read them, so a
-check's time includes the builds of the tables no earlier check of its
-shape needed.  Exit code 2 if anything unexpected fails, 1 if --max-n
-is below 2.
+Runs every exhaustive check of ``arcalg check`` (``arcalg.cli._CHECKS``)
+at alpha +1, then -1, over a range of shapes, and prints one line per
+(shape, check, alpha).  Each alpha table is built once per shape and
+shared by the checks that read it, so a check's time includes the build
+of the table if no earlier check of its shape and alpha needed it.  The
+expected alpha -1 associativity failure prints as FAIL (expected).
+Exit code 2 if a check that must pass fails, 1 on a usage error or if
+--max-n is below 2.
 
 Usage:
     python scripts/run_checks.py [--max-n 6]
 """
-import argparse
-import functools
 import sys
 import time
 
-from arcalg.arc_algebra import (_associativity, _degree_additivity,
-                                check_nested_agreement, check_order_independence,
-                                check_unit, structure_table)
+from arcalg.cli import _Parser, _run_checks
 from arcalg.diagrams import Shape
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser()
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=6)
     args = parser.parse_args()
     if args.max_n < 2:
@@ -35,28 +33,17 @@ def main() -> int:
               for k in range(1, n // 2 + 1)]
     failed = False
     for shape in shapes:
-        table = functools.cache(functools.partial(structure_table, shape))
-        for name, run, expect_ok in [
-            ("unit(+1)", lambda s=shape: check_unit(s, 1), True),
-            ("unit(-1)", lambda s=shape: check_unit(s, -1), True),
-            ("orders(+1)", lambda s=shape: check_order_independence(s, 1), True),
-            ("orders(-1)", lambda s=shape: check_order_independence(s, -1), True),
-            ("degree(+1)", lambda: _degree_additivity(table(1)), True),
-            ("degree(-1)", lambda: _degree_additivity(table(-1)), True),
-            ("nested=-1", lambda s=shape: check_nested_agreement(s), True),
-            ("assoc(+1)", lambda: _associativity(table(1)), True),
-            ("assoc(-1)", lambda: _associativity(table(-1)), None),
-        ]:
-            t0 = time.perf_counter()
-            res = run()
-            elapsed = time.perf_counter() - t0
-            verdict = "PASS" if res.ok else "FAIL"
-            line = f"({shape.n},{shape.k}) {name:>11}: {verdict}  [{elapsed:6.2f}s]"
-            if not res.ok:
-                line += f"  witness: {res.witness}"
-            print(line, flush=True)
-            if expect_ok is True and not res.ok:
-                failed = True
+        for alpha in (1, -1):
+            start = time.perf_counter()
+            for check, res, verdict in _run_checks(shape, alpha):
+                elapsed = time.perf_counter() - start
+                label = f"{check.name}({alpha:+d})"
+                line = f"({shape.n},{shape.k}) {label:>11}: {verdict}  [{elapsed:6.2f}s]"
+                if not res.ok:
+                    line += f"  witness: {res.witness}"
+                print(line, flush=True)
+                failed |= verdict == "FAIL"
+                start = time.perf_counter()
     return 2 if failed else 0
 
 

@@ -692,11 +692,16 @@ def _degree_additivity(table: StructureTable) -> CheckResult:
 
 def check_unit(shape: Shape, alpha: int = 1) -> CheckResult:
     """Idempotents act as identities: e(src) * b == b == b * e(tgt) for each basis element b."""
-    weights, els = algebra_basis(shape)
-    for b in els:
-        e_left = idempotent(b.src)
-        e_right = idempotent(b.tgt)
-        one = AlgebraElement(b.src, b.tgt, {b: 1})
-        if multiply(e_left, one, alpha) != one or multiply(one, e_right, alpha) != one:
+    return _unit(structure_table(shape, alpha))
+
+
+def _unit(table: StructureTable) -> CheckResult:
+    """check_unit on a built table."""
+    els, products = table.basis, table.products
+    index = {b: i for i, b in enumerate(els)}
+    units = {x: index[e] for x in table.weights for e in idempotent(x).terms}
+    for t, b in enumerate(els):
+        one = ((t, 1),)
+        if products.get((units[b.src], t)) != one or products.get((t, units[b.tgt])) != one:
             return CheckResult(False, f"unit law fails at {b}")
     return CheckResult(True)

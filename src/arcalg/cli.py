@@ -3,9 +3,12 @@
 Subcommands: enumerate, cup, glue, fixedpoints, cohomology, multiply,
 table, check, k0.  Output is deterministic (byte-identical across runs
 for identical arguments); use --format json for machine-readable output
-and --out FILE to write to a file instead of stdout.  Exit codes: 0 on
-success, 1 on a usage or validation error, 2 when a check fails (the
-witness is printed).
+(all but check) and --out FILE to write to a file instead of stdout.
+Exit codes: 0 on success, 1 on a usage or validation error, 2 when a
+check that must pass fails (the witness is printed).
+
+``_CHECKS`` is the one list of the exhaustive checks; ``arcalg check``
+and ``scripts/run_checks.py`` both run it through ``_run_checks``.
 """
 from __future__ import annotations
 
@@ -13,6 +16,8 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from . import arc_algebra, cohomology, ktheory
 from .diagrams import (Shape, ValidationError, Weight, diagram_of,
@@ -166,28 +171,65 @@ def _cmd_table(args) -> int:
     return 0
 
 
+class _Check(NamedTuple):
+    """One exhaustive check: ``run(shape, alpha, table)`` returns its
+    CheckResult, calling ``table()`` for the alpha structure table.  It
+    runs at the alphas ``must_pass`` lists, and a FAIL at alpha is a
+    failure only where ``must_pass[alpha]`` is True.
+    """
+
+    name: str
+    title: str
+    run: Callable[[Shape, int, Callable[[], arc_algebra.StructureTable]],
+                  arc_algebra.CheckResult]
+    must_pass: dict[int, bool]
+
+
+_CHECKS = (
+    # alpha = -1 is the product that is not associative
+    _Check("assoc", "associativity",
+           lambda shape, alpha, table: arc_algebra._associativity(table()), {1: True, -1: False}),
+    _Check("orders", "order-independence",
+           lambda shape, alpha, table: arc_algebra.check_order_independence(shape, alpha),
+           {1: True, -1: True}),
+    # it compares alpha = -1 products only, whatever alpha it is given
+    _Check("nested", "nested-TQFT agreement",
+           lambda shape, alpha, table: arc_algebra.check_nested_agreement(shape), {-1: True}),
+    _Check("degree", "degree additivity",
+           lambda shape, alpha, table: arc_algebra._degree_additivity(table()), {1: True, -1: True}),
+    _Check("unit", "unit law",
+           lambda shape, alpha, table: arc_algebra._unit(table()), {1: True, -1: True}),
+)
+
+
+def _run_checks(shape: Shape, alpha: int, which: str = "all"):
+    """Run the checks of ``_CHECKS`` that ``which`` names and that run at alpha.
+
+    Yields (check, result, verdict) per check, in ``_CHECKS`` order; the
+    verdict is PASS, FAIL (a check that must pass failed) or FAIL
+    (expected).  The alpha table is built at most once, by the first
+    check that reads it, and shared.  ValidationError if ``which`` names
+    a check that does not run at alpha.
+    """
+    checks = [c for c in _CHECKS if which in ("all", c.name) and alpha in c.must_pass]
+    if not checks:
+        raise ValidationError(f"check {which} does not run at alpha {alpha:+d}")
+    table = functools.cache(functools.partial(arc_algebra.structure_table, shape, alpha))
+    for check in checks:
+        res = check.run(shape, alpha, table)
+        verdict = ("PASS" if res.ok else "FAIL" if check.must_pass[alpha]
+                   else "FAIL (expected)")
+        yield check, res, verdict
+
+
 def _cmd_check(args) -> int:
-    shape = _shape(args)
-    which = args.which
-    # the table is built once and shared by the checks that read it
-    table = functools.cache(functools.partial(arc_algebra.structure_table, shape, args.alpha))
-    checks = []
-    if which in ("assoc", "all"):
-        checks.append(("associativity", lambda: arc_algebra._associativity(table())))
-    if which in ("orders", "all"):
-        checks.append(("order-independence", lambda: arc_algebra.check_order_independence(shape, args.alpha)))
-    if which in ("nested", "all"):
-        checks.append(("nested-TQFT agreement", lambda: arc_algebra.check_nested_agreement(shape)))
-    if which in ("degree", "all"):
-        checks.append(("degree additivity", lambda: arc_algebra._degree_additivity(table())))
     failed = False
     lines = []
-    for name, run in checks:
-        res = run()
-        lines.append(f"{name}: {'PASS' if res.ok else 'FAIL'}")
+    for check, res, verdict in _run_checks(_shape(args), args.alpha, args.which):
+        lines.append(f"{check.title}: {verdict}")
         if not res.ok:
             lines.append(f"  witness: {res.witness}")
-            failed = True
+        failed |= verdict == "FAIL"
     _emit(args, "\n".join(lines))
     return 2 if failed else 0
 
@@ -272,10 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("check", help="exhaustive algebra checks")
-    add_common(p, shape=True)
+    add_common(p, shape=True, fmt=("text",))
     p.add_argument("--alpha", type=int, choices=(1, -1), default=1)
-    p.add_argument("--which", choices=("assoc", "orders", "nested", "degree", "all"),
-                   default="all")
+    p.add_argument("--which", choices=(*(c.name for c in _CHECKS), "all"), default="all")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("k0", help="transformation matrix between the two K0 bases")

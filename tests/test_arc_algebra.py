@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import arcalg
-from arcalg import arc_algebra
+from arcalg import arc_algebra, cli
 from arcalg.arc_algebra import (AlgebraElement, BasisElement, CompositionError,
                                 OrderError, StructureTable, basis,
                                 canonical_order, check_associativity,
@@ -368,13 +368,13 @@ def test_checks_fail_on_one_corrupted_product(monkeypatch, check, args, corrupt,
     assert res.witness.startswith(f"a={a} b={b}{detail}"), res.witness
 
 
-def _corrupt_pair_in_tables(monkeypatch, corrupt):
-    """Every table arc_algebra builds carries corrupt(table, terms) as PAIR's product."""
+def _corrupt_pair_in_tables(monkeypatch, corrupt, pair=PAIR):
+    """Every table arc_algebra builds carries corrupt(table, terms) as pair's product."""
     real = arc_algebra.structure_table
 
     def fake(*args, **kwargs):
         table = real(*args, **kwargs)
-        key = tuple(table.basis.index(b) for b in PAIR)
+        key = tuple(table.basis.index(b) for b in pair)
         return table._replace(
             products={**table.products, key: corrupt(table, table.products[key])})
 
@@ -397,6 +397,24 @@ def test_degree_additivity_fails_on_one_corrupted_product(monkeypatch, alpha):
     a, b = PAIR
     assert not res.ok
     assert res.witness.startswith(f"a={a} b={b} term=[vv^^|vv^^|"), res.witness
+
+
+def test_a_corrupted_degree_at_alpha_minus_1_fails_arcalg_check(monkeypatch, capsys):
+    # the expected associativity failure at alpha = -1 must not hide another one
+    _corrupt_pair_in_tables(monkeypatch, _add_wrong_degree_term)
+    assert cli.main(["check", "--n", "4", "--k", "2", "--alpha", "-1"]) == 2
+    out = capsys.readouterr().out
+    assert "associativity: FAIL (expected)\n" in out and "degree additivity: FAIL\n" in out
+
+
+@pytest.mark.parametrize("alpha", [1, -1])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_fails_on_one_corrupted_idempotent_product(monkeypatch, side, alpha):
+    b = PAIR[0]
+    e = next(iter(idempotent(b.src if side == "left" else b.tgt).terms))
+    _corrupt_pair_in_tables(monkeypatch, lambda table, terms: _negate(terms),
+                            (e, b) if side == "left" else (b, e))
+    assert check_unit(Shape(4, 2), alpha) == (False, f"unit law fails at {b}")
 
 
 def test_check_associativity_fails_on_one_corrupted_product(monkeypatch):

@@ -91,10 +91,28 @@ def test_validation_error_exit_code(capsys):
 
 
 def test_check_failure_exit_code(capsys):
+    # alpha = -1 is not associative: an expected failure, exit 0
     code, out, _ = run(capsys, "check", "--n", "4", "--k", "2",
                        "--alpha", "-1", "--which", "assoc")
-    assert code == 2
-    assert "FAIL" in out and "witness" in out
+    assert code == 0
+    assert out == ("associativity: FAIL (expected)\n"
+                   "  witness: a=[v^v^|vv^^|v^v^] b=[vv^^|v^v^|v^v^] c=[v^v^|vv^^|v^v^]: "
+                   "(ab)c=- 2*x1 != a(bc)=2*x1\n")
+
+
+def test_check_nested_runs_at_alpha_minus_1_only(capsys):
+    code, out, err = run(capsys, "check", "--n", "4", "--k", "2", "--which", "nested")
+    assert code == 1 and out == ""
+    assert err == "error: check nested does not run at alpha +1\n"
+
+
+def test_check_which_offers_each_registered_check(capsys):
+    from arcalg.cli import _CHECKS
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    names = [c.name for c in _CHECKS]
+    assert "unit" in names
+    assert f"--which {{{','.join(names)},all}}" in capsys.readouterr().out
 
 
 def test_check_pass(capsys):
@@ -153,6 +171,7 @@ def test_empty_flag_values_are_errors(capsys, argv):
     ["multiply", "--alpha", "2", "--left", "v^,^v", "--right", "^v,v^"],
     ["frobnicate"],
     [],
+    ["check", "--n", "2", "--k", "1", "--format", "json"],
 ])
 def test_usage_errors_exit_1_with_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -174,12 +193,14 @@ def run_script(name, *argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+@pytest.mark.parametrize("max_n, error", [("1", "error: --max-n 1"),
+                                          ("x", "error: argument --max-n: invalid int")])
 @pytest.mark.parametrize("name", ["run_checks.py", "export_tables.py"])
-def test_scripts_refuse_a_range_without_shapes(name, tmp_path):
-    proc = run_script(name, "--max-n", "1", *(["--out-dir", str(tmp_path / "out")]
-                                              if name == "export_tables.py" else []))
+def test_scripts_refuse_a_range_without_shapes(name, max_n, error, tmp_path):
+    proc = run_script(name, "--max-n", max_n, *(["--out-dir", str(tmp_path / "out")]
+                                                if name == "export_tables.py" else []))
     assert proc.returncode == 1 and proc.stdout == ""
-    assert "error: --max-n 1" in proc.stderr
+    assert error in proc.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -201,7 +222,10 @@ def test_bench_jobs_runs_the_smallest_jobs(tmp_path):
         table = structure_table(Shape(4, 2), alpha).to_json().encode()
         assert runs["structure_table", alpha]["sha256"] == hashlib.sha256(table).hexdigest()
     assert runs["check_associativity", 1]["ok"] and not runs["check_associativity", -1]["ok"]
-    assert all(r["wall_s"] > 0 and r["peak_rss_mb"] > 0 for r in report["runs"])
+    assert all(r["wall_s"] > 0 and 0 < r["import_rss_mb"] <= r["peak_rss_mb"]
+               for r in report["runs"])
+    assert all(0 < s["median_import_rss_mb"] <= s["median_peak_rss_mb"]
+               for s in report["summary"])
 
 
 @pytest.mark.parametrize("argv", [["--shapes", "4,3"], ["--shapes", "four"], ["--repeat", "0"]])
@@ -231,8 +255,9 @@ def test_check_all_builds_each_table_once(monkeypatch, capsys, alpha):
     from arcalg import arc_algebra
     builds = _count_table_builds(monkeypatch, arc_algebra)
     code, out, _ = run(capsys, "check", "--n", "4", "--k", "2", "--alpha", str(alpha))
-    assert code == (0 if alpha == 1 else 2)
-    assert out.count(": PASS") + out.count(": FAIL") == 4
+    assert code == 0
+    # nested-TQFT agreement runs at alpha = -1 only
+    assert out.count(": PASS") + out.count(": FAIL") == (4 if alpha == 1 else 5)
     shape = Shape(4, 2)
     assert builds == {(shape, alpha): 1}
 
@@ -242,7 +267,8 @@ def test_run_checks_builds_each_table_once_per_shape(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("run_checks", ROOT / "scripts" / "run_checks.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    builds = _count_table_builds(monkeypatch, script)
+    from arcalg import arc_algebra
+    builds = _count_table_builds(monkeypatch, arc_algebra)
     monkeypatch.setattr(sys, "argv", ["run_checks.py", "--max-n", "3"])
     assert script.main() == 0
     assert capsys.readouterr().out.count(": PASS") == 2 * 9
