@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from ._movie import (OrderError, _compile_movie, _fold, _twist, _validate_order,
                      canonical_order, cup_orders)
-from .cohomology import _glued_intersection
+from . import cohomology
 from .diagrams import (CIRCLE, CircleDiagram, Shape, UP,
                        ValidationError, Weight, _Checked, diagram_of,
                        enumerate_standard, enumerate_weights, orientation_degree,
@@ -395,10 +395,10 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
 
 def clear_caches() -> None:
     """Empty every memo: convolutions, compiled movies, twists, Hom spaces and their
-    bases, m(w) and the glued pairs of :mod:`arcalg.cohomology` (``_glued_intersection``)."""
-    for memo in (_convolution, _compile_movie, _twist, canonical_order, _ends,
-                 weight_to_m, _glued_intersection):
+    bases, m(w) and the glued pairs of :mod:`arcalg.cohomology` (``_PAIRS``)."""
+    for memo in (_convolution, _compile_movie, _twist, canonical_order, _ends, weight_to_m):
         memo.cache_clear()
+    cohomology._PAIRS.clear()
 
 
 def _mode(alpha: int) -> str:

@@ -108,8 +108,8 @@ def _cmd_cohomology(args) -> int:
     a = Weight.parse(args.a)
     if args.b is not None:
         b = Weight.parse(args.b)
+        poin = cohomology.poincare(a, b, shifted=args.shifted)  # glues; the next call reads it
         res = cohomology.intersection_cohomology(a, b)
-        poin = cohomology.poincare(a, b, shifted=args.shifted)
         if res is None:
             payload = {"empty": True, "poincare": json.loads(poin.to_json())}
             text = "EMPTY intersection"

@@ -12,15 +12,14 @@ generators it hits, with no elimination.
 EMPTY intersections are reported as None, mirroring a zero Hom space
 rather than a zero ring.
 
-``_glued_intersection`` memoizes the last pairs the pullback functions
-glued.  ``poincare`` and ``intrinsic_min_degree`` need no pullback and
-glue afresh: one glue per call, which perfbench's tracer test counts.
+``_glue_pair`` glues a weight pair into one record and keeps the last 32
+in ``_PAIRS``.  ``poincare`` writes it on every call, as perfbench's tracer
+test counts one glue per call; the other pair functions read it, or glue.
 ``diagrams.equivalence`` is unused here; perfbench still traces it.
 """
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -70,6 +69,8 @@ class PullbackMap(_Checked, _PullbackFields):
         return tuple.__new__(cls, (n, images))
 
     def image(self, i: int) -> tuple[tuple[int, int], ...]:
+        if not 1 <= i <= self.n:
+            raise ValidationError(f"x_{i} is not among x_1..x_{self.n}")
         return self.images[i - 1]
 
     def to_json(self) -> str:
@@ -161,6 +162,48 @@ def _cup_presentation(cup: CupDiagram) -> tuple[RingPresentation, PullbackMap]:
     return RingPresentation(cup.left_ends()), PullbackMap(cup.n, tuple(images))
 
 
+class _Pair(NamedTuple):
+    """A glued weight pair: its diagram, smallest degree and intersection."""
+
+    z: CircleDiagram
+    low: int | None
+    intersection: tuple[RingPresentation, PullbackMap] | None
+
+
+_PAIRS: dict[tuple[Weight, Weight], _Pair] = {}
+
+
+def _glue_pair(w: Weight, wp: Weight) -> _Pair:
+    """Glue a pair of one shape, and keep its record among the last 32.
+
+    The intersection is empty when the rays of some line contradict each
+    other.  An arc counts when its left end is up, fixed for a component
+    by whether its odd points are up; so the smallest degree sums, over
+    components, the fewest arcs counted by an allowed choice.
+    """
+    if w.n != wp.n or w.k != wp.k:
+        raise ValidationError("weights must share a shape")
+    z = diagram_of(w, wp)
+    choices = _component_choices(z, w, wp)
+    low = intersection = None
+    if choices is not None:
+        low = sum(min(sum(1 for _, a, _b in comp.arcs if (a % 2 == 1) == odd_up)
+                      for odd_up in allowed)
+                  for comp, allowed in zip(z.components, choices))
+        circles = z.circles()
+        images: list[tuple[tuple[int, int], ...]] = [()] * w.n
+        for comp in circles:
+            for i in comp.vertices:  # epsilon(z, i, leftmost), read off the circle in hand
+                images[i - 1] = ((comp.leftmost, (-1) ** (i + comp.leftmost)),)
+        intersection = (RingPresentation(tuple(c.leftmost for c in circles)),
+                        PullbackMap(w.n, tuple(images)))
+    _PAIRS.pop((w, wp), None)
+    if len(_PAIRS) >= 32:
+        del _PAIRS[next(iter(_PAIRS))]
+    _PAIRS[w, wp] = pair = _Pair(z, low, intersection)
+    return pair
+
+
 def intersection_cohomology(w: Weight, wp: Weight) -> tuple[RingPresentation, PullbackMap] | None:
     """Presentation for a pairwise intersection, or None if it is empty.
 
@@ -168,65 +211,23 @@ def intersection_cohomology(w: Weight, wp: Weight) -> tuple[RingPresentation, Pu
     diagram; the pullback transports x_i along its circle with the sign
     epsilon(i, generator), and kills points on lines.
     """
-    return _glued_intersection(w, wp)[1]
-
-
-def _glued(w: Weight, wp: Weight) -> tuple[CircleDiagram, list[tuple[bool, ...]] | None]:
-    """The glued diagram of a pair of one shape, and its components' choices."""
-    if w.n != wp.n or w.k != wp.k:
-        raise ValidationError("weights must share a shape")
-    z = diagram_of(w, wp)
-    return z, _component_choices(z, w, wp)
-
-
-@lru_cache(maxsize=32)
-def _glued_intersection(w: Weight, wp: Weight) -> tuple[
-        CircleDiagram, tuple[RingPresentation, PullbackMap] | None]:
-    """The glued diagram and intersection_cohomology of the pair.
-
-    The intersection is empty exactly when the rays of some line
-    contradict each other.  Memoized for the last 32 pairs; ``poincare``
-    does not read the memo (see the module docstring).
-    """
-    z, choices = _glued(w, wp)
-    if choices is None:
-        return z, None
-    circles = z.circles()
-    images: list[tuple[tuple[int, int], ...]] = [()] * w.n
-    for comp in circles:
-        for i in comp.vertices:  # epsilon(z, i, leftmost), read off the circle in hand
-            images[i - 1] = ((comp.leftmost, (-1) ** (i + comp.leftmost)),)
-    return z, (RingPresentation(tuple(c.leftmost for c in circles)),
-               PullbackMap(w.n, tuple(images)))
-
-
-def _glued_min_degree(w: Weight, wp: Weight) -> tuple[CircleDiagram, int | None]:
-    """The glued diagram and its smallest orientation degree (None if empty).
-
-    An arc counts when its left end is up, which for a component is fixed
-    by whether its odd points are up; so the smallest degree is the sum,
-    over components, of the fewest arcs counted by an allowed choice.
-    """
-    z, choices = _glued(w, wp)
-    if choices is None:
-        return z, None
-    return z, sum(min(sum(1 for _, a, _b in comp.arcs if (a % 2 == 1) == odd_up)
-                      for odd_up in allowed)
-                  for comp, allowed in zip(z.components, choices))
+    return (_PAIRS.get((w, wp)) or _glue_pair(w, wp)).intersection
 
 
 def intrinsic_min_degree(w: Weight, wp: Weight) -> int | None:
     """Smallest orientation degree of the glued diagram; None when empty."""
-    return _glued_min_degree(w, wp)[1]
+    return (_PAIRS.get((w, wp)) or _glue_pair(w, wp)).low
 
 
 def poincare(w: Weight, wp: Weight, shifted: bool = False) -> GradedDim:
     """(1 + q^2) per circle, multiplied by q**(minimal degree) if shifted."""
-    z, low = _glued_min_degree(w, wp)
-    if low is None:
+    # Glues even when the pair is kept: perfbench's tracer test counts one
+    # glue per call.  The pullback functions asked after it then glue nothing.
+    pair = _glue_pair(w, wp)
+    if pair.intersection is None:
         return GradedDim.zero()
-    out = RingPresentation(tuple(c.leftmost for c in z.circles())).hilbert()
-    return out.shift(low) if shifted else out
+    out = pair.intersection[0].hilbert()
+    return out.shift(pair.low) if shifted else out
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def odd_normalization(w: Weight, wp: Weight) -> OddNormalization:
     over the components checks it: a point i of a circle with generator
     g must map to a_i * a_g * x_g, and a point of a line to 0.
     """
-    z, pair = _glued_intersection(w, wp)
+    z, _, pair = _PAIRS.get((w, wp)) or _glue_pair(w, wp)
     if pair is None:
         return OddNormalization((), True)
     images = pair[1].images

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import arcalg
-from arcalg import arc_algebra, cli
+from arcalg import arc_algebra, cli, cohomology
 from arcalg.arc_algebra import (AlgebraElement, BasisElement, CompositionError,
                                 OrderError, StructureTable, basis,
                                 canonical_order, check_associativity,
@@ -19,6 +19,7 @@ from arcalg.cohomology import intersection_cohomology
 from arcalg.diagrams import (UP, Shape, ValidationError, Weight, diagram_of,
                              enumerate_standard, enumerate_weights,
                              weight_of_tableau, weight_to_m)
+from arcalg.ktheory import weight_leq
 from oracles import (_is_high, associativity_scan_oracle, component_census_oracle,
                      direct_product_oracle, movie_rows_oracle, movie_table_oracle)
 
@@ -630,8 +631,7 @@ MEMOS = _memos()
 
 def test_the_scan_finds_every_memo():
     assert {m.__wrapped__.__qualname__ for m in MEMOS} == {
-        "_convolution", "_compile_movie", "_twist", "canonical_order", "_ends", "weight_to_m",
-        "_glued_intersection"}
+        "_convolution", "_compile_movie", "_twist", "canonical_order", "_ends", "weight_to_m"}
 
 
 def test_clear_caches_empties_every_memo():
@@ -641,9 +641,10 @@ def test_clear_caches_empties_every_memo():
     nested = multiply_nested(a, b)  # the only call here that runs the movie
     table = structure_table(Shape(4, 2), -1)
     pair = intersection_cohomology(NESTED, NXT)
-    assert all(m.cache_info().currsize for m in MEMOS)
+    assert all(m.cache_info().currsize for m in MEMOS) and cohomology._PAIRS
     arc_algebra.clear_caches()
     assert [m.cache_info().currsize for m in MEMOS] == [0] * len(MEMOS)
+    assert cohomology._PAIRS == {}
     assert multiply(a, b, -1) == want
     assert multiply_nested(a, b) == nested
     assert structure_table(Shape(4, 2), -1) == table
@@ -670,6 +671,38 @@ def test_plus_and_minus_tables_compile_no_movie():
         job()
         assert arc_algebra._compile_movie.cache_info().currsize > 0
         assert arc_algebra._twist.cache_info().misses == 0
+
+
+# --- cellularity -----------------------------------------------------------------------
+
+def _uncellular_term(table):
+    """The first term [x|z|nu] of a product [x|y|lambda].[y|z|mu] without lambda <= nu
+    and mu <= nu, as (i, j, k), or None."""
+    orients = [b.orient for b in table.basis]
+    return next(((i, j, k) for (i, j), terms in table.products.items() for k, _ in terms
+                 if not (weight_leq(orients[i], orients[k])
+                         and weight_leq(orients[j], orients[k]))), None)
+
+
+@pytest.mark.parametrize("alpha", [1, -1])
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+def test_products_are_cellular(shape, alpha):
+    assert _uncellular_term(built_table(shape, alpha)) is None
+
+
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_cellularity_fails_on_one_corrupted_product(alpha):
+    table = built_table(Shape(4, 2), alpha)
+    orients = [b.orient for b in table.basis]
+    # the first product with a term in its Hom space that lies below a factor
+    (i, j), k = next(((i, j), k) for i, j in table.products
+                     for k, b in enumerate(table.basis)
+                     if (b.src, b.tgt) == (table.basis[i].src, table.basis[j].tgt)
+                     and not weight_leq(orients[i], orients[k]))
+    terms = dict(table.products[i, j])
+    terms[k] = 1
+    bad = table._replace(products={**table.products, (i, j): tuple(sorted(terms.items()))})
+    assert _uncellular_term(bad) == (i, j, k)
 
 
 # --- integrality and tables ----------------------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 
 from arcalg.cli import main
 from arcalg.arc_algebra import StructureTable, structure_table
-from arcalg.diagrams import Shape
+from arcalg.cohomology import (intersection_cohomology, kernel_contains_both, odd_normalization,
+                               poincare)
+from arcalg.diagrams import Shape, enumerate_weights
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,6 +82,13 @@ def test_cohomology_pair(capsys):
     assert data["generators"] == [1] and data["dim"] == 2
     code, out, _ = run(capsys, "cohomology", "--a", "^^vv", "--b", "v^^v")
     assert "EMPTY" in out
+
+
+@pytest.mark.parametrize("b", ["vv^^", "^^vv"], ids=["nonempty", "empty"])
+def test_cohomology_pair_glues_once(capsys, count_glues, b):
+    calls = count_glues()
+    assert run(capsys, "cohomology", "--a", "v^^v", "--b", b)[0] == 0
+    assert calls == [1]
 
 
 def test_validation_error_exit_code(capsys):
@@ -217,15 +226,32 @@ def test_bench_jobs_runs_the_smallest_jobs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     runs = {(r["job"], r["alpha"]): r for r in report["runs"]}
-    assert len(report["runs"]) == len(runs) == 4 and len(report["summary"]) == 4
+    assert len(report["runs"]) == len(runs) == 5 and len(report["summary"]) == 5
     for alpha in (1, -1):
         table = structure_table(Shape(4, 2), alpha).to_json().encode()
         assert runs["structure_table", alpha]["sha256"] == hashlib.sha256(table).hexdigest()
     assert runs["check_associativity", 1]["ok"] and not runs["check_associativity", -1]["ok"]
+    weights = enumerate_weights(Shape(4, 2))
+    outputs = "\n".join(repr((poincare(w, v, shifted=True), intersection_cohomology(w, v),
+                               kernel_contains_both(w, v), odd_normalization(w, v)))
+                         for w in weights for v in weights)
+    assert runs["cohomology", None]["ok"] is None
+    assert runs["cohomology", None]["sha256"] == hashlib.sha256(outputs.encode()).hexdigest()
     assert all(r["wall_s"] > 0 and 0 < r["import_rss_mb"] <= r["peak_rss_mb"]
                for r in report["runs"])
     assert all(0 < s["median_import_rss_mb"] <= s["median_peak_rss_mb"]
                for s in report["summary"])
+
+
+def test_bench_jobs_runs_the_jobs_asked_for(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("bench_jobs.py", "--shapes", "2,1", "3,1", "--jobs", "cohomology",
+                      "--repeat", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert [(r["job"], r["shape"], r["alpha"]) for r in report["runs"]] == [
+        ("cohomology", [2, 1], None), ("cohomology", [3, 1], None)]
+    assert proc.stdout.startswith("cohomology (2, 1) ")
 
 
 @pytest.mark.parametrize("argv", [["--shapes", "4,3"], ["--shapes", "four"], ["--repeat", "0"]])

@@ -205,6 +205,30 @@ def test_the_three_pullback_functions_glue_a_pair_once(count_glues):
     assert calls == [2]
 
 
+def test_poincare_then_the_pullback_functions_glue_a_pair_once(count_glues):
+    # cohom_k0's order: poincare writes the pair's record, the rest read it
+    a, b = W("v^v^v^"), W("vv^v^^")
+    clear_caches()
+    calls = count_glues()
+    poincare(a, b, shifted=True)
+    _pair_results(a, b)
+    assert intrinsic_min_degree(a, b) == 2  # k = 3, one circle
+    assert calls == [1]
+    poincare(a, b, shifted=True)
+    assert calls == [2]
+
+
+def test_the_pair_memo_keeps_the_last_32_pairs():
+    pairs = list(itertools.product(weights_of(6, 3), repeat=2))
+    clear_caches()
+    for i, (a, b) in enumerate(pairs):
+        (poincare if i % 2 else intersection_cohomology)(a, b)
+        assert len(cohomology._PAIRS) == min(i + 1, 32)
+    assert list(cohomology._PAIRS) == pairs[-32:]
+    poincare(*pairs[0])  # glues the oldest pair out
+    assert list(cohomology._PAIRS) == pairs[-31:] + pairs[:1]
+
+
 def test_memoized_pair_results_equal_the_cold_ones():
     ws = weights_of(6, 3)
     pairs = list(itertools.product(ws, repeat=2))
@@ -220,7 +244,7 @@ def test_memoized_pair_results_equal_the_cold_ones():
         assert odd_normalization(a, b) == cold[a, b][2]
         assert _pair_results(c, d) == cold[c, d]
     clear_caches()
-    assert cohomology._glued_intersection.cache_info().currsize == 0
+    assert cohomology._PAIRS == {}
     assert {(a, b): _pair_results(a, b) for a, b in pairs} == cold
 
 
@@ -315,17 +339,13 @@ def test_kernel_check_fails_when_a_ray_point_is_hit(monkeypatch):
     assert not kernel_contains_both(a, a)
 
 
-def _patch_glued_pullback(monkeypatch, point, image):
-    """Make _glued_intersection send x_point to ``image`` instead."""
-    real = cohomology._glued_intersection
-
-    def patched(w, wp):
-        z, (pres, pb) = real(w, wp)
-        images = list(pb.images)
-        images[point - 1] = image
-        return z, (pres, PullbackMap(pb.n, tuple(images)))
-
-    monkeypatch.setattr(cohomology, "_glued_intersection", patched)
+def _patch_pair_record(monkeypatch, w, point, image):
+    """Keep a record of the pair (w, w) whose pullback sends x_point to ``image``."""
+    z, low, (pres, pb) = cohomology._glue_pair(w, w)
+    images = list(pb.images)
+    images[point - 1] = image
+    monkeypatch.setitem(cohomology._PAIRS, (w, w), cohomology._Pair(
+        z, low, (pres, PullbackMap(pb.n, tuple(images)))))
 
 
 @pytest.mark.parametrize("pair, point, image", [
@@ -336,8 +356,16 @@ def _patch_glued_pullback(monkeypatch, point, image):
 def test_odd_normalization_fails_on_a_corrupted_pullback(monkeypatch, pair, point, image):
     a = W(pair)
     assert odd_normalization(a, a).ok
-    _patch_glued_pullback(monkeypatch, point, image)
+    _patch_pair_record(monkeypatch, a, point, image)
     assert odd_normalization(a, a).ok is False
+
+
+@pytest.mark.parametrize("i", [0, 5, -1])
+def test_pullback_image_rejects_a_point_outside_1_to_n(i):
+    pb = intersection_cohomology(W("v^v^"), W("v^v^"))[1]
+    assert pb.image(4) == ((3, -1),)
+    with pytest.raises(ValidationError, match=f"x_{i} is not among x_1..x_4"):
+        pb.image(i)
 
 
 def test_surjectivity_fails_on_a_generator_nobody_hits():

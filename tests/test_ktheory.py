@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcalg.arc_algebra import basis, degree
 from arcalg.diagrams import Shape, ValidationError, Weight, enumerate_weights, weight_to_m
 from arcalg.ktheory import K0Matrix, k0_matrix, length, theta_set, weight_leq
 from oracles import det_int, leq_oracle
@@ -150,3 +151,22 @@ def test_det_of_hand_built_matrices():
         upper.det()
     with pytest.raises(AttributeError):
         mat.entries = upper.entries
+
+
+# --- BGG reciprocity: the arc algebra's Hom spaces read off Theta ---------------
+
+def _switched(x, orient):
+    """Cups of m(x) whose marks ``orient`` switches from those of x."""
+    return sum(1 for a, _ in weight_to_m(x).cups if orient.mark(a) != x.mark(a))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hom_spaces_are_theta_intersections_with_switch_degrees(n):
+    # C(q) = D(q) D(q)^T with D(q)[x][lambda] = q^(cups switched) on Theta(x)
+    for k in range(n // 2 + 1):
+        thetas = {w: set(theta_set(w)) for w in weights_of(n, k)}
+        for (x, tx), (y, ty) in itertools.product(thetas.items(), repeat=2):
+            els = basis(x, y)
+            assert {b.orient for b in els} == tx & ty, (str(x), str(y))
+            for b in els:
+                assert degree(b) == _switched(x, b.orient) + _switched(y, b.orient), str(b)
