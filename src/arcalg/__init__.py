@@ -4,7 +4,7 @@ from .diagrams import (CIRCLE, LINE, CircleDiagram, Component, CupDiagram,
                        DOWN, EquivalenceData, Shape, StandardTableau, UP,
                        ValidationError, Weight, cup_to_tableau,
                        enumerate_standard, enumerate_weights, epsilon,
-                       equivalence, glue, is_oriented, orientation_degree,
+                       equivalence, glue, orientation_degree,
                        orientations, orients_with_rays, render_circle_diagram,
                        render_cup, tableau_of_weight, tableau_to_cup,
                        weight_of_tableau, weight_to_C, weight_to_m)

@@ -481,21 +481,38 @@ class StructureTable(NamedTuple):
 
     @staticmethod
     def from_json(text: str) -> "StructureTable":
-        """The table of ``to_json``; ValidationError if its basis or an index is off."""
-        data = json.loads(text)
-        weights = tuple(Weight.parse(w) for w in data["weights"])
-        basis_ = tuple(BasisElement(Weight.parse(d["src"]), Weight.parse(d["tgt"]),
-                                    Weight.parse(d["orient"])) for d in data["basis"])
+        """The table of ``to_json``; ValidationError for anything else."""
+        try:
+            data = json.loads(text)
+            shape, alpha = Shape(*data["shape"]), data["alpha"]
+            weights = tuple(Weight.parse(w) for w in data["weights"])
+            basis_ = tuple(BasisElement(Weight.parse(d["src"]), Weight.parse(d["tgt"]),
+                                        Weight.parse(d["orient"])) for d in data["basis"])
+            products = {}
+            for key, terms in data["products"].items():
+                i, j = key.split(",")
+                products[int(i), int(j)] = tuple((t, c) for t, c in terms)
+        except ValidationError:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"malformed structure table: {exc!r}") from None
+        if type(alpha) is not int or alpha not in (1, -1):
+            raise ValidationError(f"alpha must be +1 or -1, not {alpha!r}")
         if basis_ != tuple(b for x in weights for y in weights for b in basis(x, y)):
             raise ValidationError("the table's basis is not that of its weights")
-        products = {}
-        for key, terms in data["products"].items():
-            i, j = key.split(",")
-            products[(int(i), int(j))] = tuple(tuple(t) for t in terms)
-            if not all(0 <= k < len(basis_) for k in (int(i), int(j), *(t[0] for t in terms))):
-                raise ValidationError(f"product {key} names no element of a basis "
+        for (i, j), terms in products.items():
+            if any(type(v) is not int for term in terms for v in term):
+                raise ValidationError(f"product {i},{j}: terms must be [index, coeff] int pairs")
+            if not all(0 <= k < len(basis_) for k in (i, j, *(t for t, _ in terms))):
+                raise ValidationError(f"product {i},{j} names no element of a basis "
                                       f"of size {len(basis_)}")
-        return StructureTable(Shape(*data["shape"]), data["alpha"], weights, basis_, products)
+            a, b = basis_[i], basis_[j]
+            if a.tgt != b.src:
+                raise ValidationError(f"product {i},{j}: {a} and {b} do not compose")
+            if any(basis_[t][:2] != (a.src, b.tgt) for t, _ in terms):
+                raise ValidationError(f"product {i},{j} has a term outside "
+                                      f"Hom({a.src}, {b.tgt})")
+        return StructureTable(shape, alpha, weights, basis_, products)
 
     def text_dump(self) -> str:
         lines = [f"shape ({self.shape.n},{self.shape.k})  alpha={self.alpha:+d}  "

@@ -72,10 +72,6 @@ class Shape(_Checked, _ShapeFields):
             raise ValidationError(f"invalid shape: n={n}, k={k} (need 0 <= 2k <= n)")
         return tuple.__new__(cls, (n, k))
 
-    @property
-    def top_len(self) -> int:
-        return self.n - self.k
-
 
 class _WeightFields(NamedTuple):
     marks: str
@@ -109,8 +105,13 @@ class Weight(_Checked, _WeightFields):
         return self.marks.count(DOWN)
 
     def mark(self, i: int) -> str:
-        """Mark at point i (1-based)."""
-        return self.marks[i - 1]
+        """Mark at point i (1-based); ValidationError off 1..n."""
+        try:
+            if i > 0:
+                return self.marks[i - 1]
+        except IndexError:
+            pass
+        raise ValidationError(f"no point {i} in weight {self.marks}")
 
     def ups(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if self.mark(i) == UP)
@@ -232,9 +233,17 @@ class CupDiagram(_Checked, _CupFields):
 
     @staticmethod
     def from_json(text: str) -> "CupDiagram":
-        data = json.loads(text)
-        return CupDiagram(data["n"], tuple(tuple(c) for c in data["cups"]),
-                          tuple(data["rays"]))
+        """The diagram of ``to_json``; ValidationError for anything else."""
+        try:
+            data = json.loads(text)
+            n, cups, rays = data["n"], tuple(map(tuple, data["cups"])), tuple(data["rays"])
+            if any(type(p) is not int for p in (n, *rays, *itertools.chain(*cups))):
+                raise ValidationError("n, cups and rays must hold ints")
+            return CupDiagram(n, cups, rays)
+        except ValidationError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed cup diagram: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +349,12 @@ def enumerate_standard(shape: Shape) -> list[StandardTableau]:
 # orientations
 
 
-def is_oriented(w: Weight, c: CupDiagram) -> bool:
-    """True iff w orients c with every ray reading up.
-
-    This is the membership test for components/stable manifolds labelled
-    by full (n-k, k) diagrams, where orphaned points always carry an up.
-    """
-    if w.n != c.n:
-        raise ValidationError(f"length mismatch: weight {w} vs diagram on {c.n} points")
-    return (all(w.mark(a) != w.mark(b) for a, b in c.cups)
-            and all(w.mark(r) == UP for r in c.rays))
-
-
 def orients_with_rays(v: Weight, c: CupDiagram, ray_marks: Weight) -> bool:
-    """Prescribed-ray flavor: rays must match a reference weight instead of up."""
+    """True iff v orients every cup of c and matches ray_marks on its rays.
+
+    With every ray up this is the membership test of the Springer fiber
+    component labelled by c.
+    """
     if v.n != c.n or ray_marks.n != c.n:
         raise ValidationError("length mismatch")
     return (all(v.mark(a) != v.mark(b) for a, b in c.cups)
@@ -410,17 +411,6 @@ class CircleDiagram(NamedTuple):
 
     def circle_count(self) -> int:
         return sum(1 for c in self.components if c.kind == CIRCLE)
-
-    def depth(self, idx: int) -> int:
-        """Number of circles properly containing component idx.
-
-        A point lies inside a circle exactly when the vertical ray above it
-        crosses an odd number of the circle's caps.  No arc of a component
-        spans its own leftmost point, so the component never counts itself.
-        """
-        p = self.components[idx].leftmost
-        return sum(1 for c in self.circles()
-                   if sum(1 for kind, a, b in c.arcs if kind == "cap" and a < p < b) % 2)
 
 
 def _walk(nb: list[list[int]], start: int) -> tuple[int, bool]:
@@ -568,28 +558,11 @@ class EquivalenceData(NamedTuple):
     circle_reps: tuple[int, ...]
     rank: tuple[tuple[int, int], ...]
 
-    def class_of(self, i: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if i in cls:
-                return cls
-        raise ValidationError(f"{i} outside 0..n")
-
-    def rep_of(self, i: int) -> int:
-        return self.class_of(i)[0]
-
-    def rank_of(self, rep: int) -> int:
-        return dict(self.rank)[rep]
-
 
 def _single_relation(c: CupDiagram) -> list[tuple[int, int]]:
     # a ~ the cup partner of a+1 whenever a+1 is on a cup
     partner = {p: q for a, b in c.cups for p, q in ((a, b), (b, a))}
     return [(a, partner[a + 1]) for a in range(c.n) if a + 1 in partner]
-
-
-def single_equivalence(c: CupDiagram) -> tuple[tuple[int, ...], ...]:
-    """Classes of the one-diagram relation on {0,..,n}."""
-    return _union_find(c.n, _single_relation(c))
 
 
 def _union_find(n: int, rels: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -670,6 +643,8 @@ def _arc_rows(c: CupDiagram, left: str, right: str, min_rows: int = 0) -> list[s
 
 def render_cup(c: CupDiagram, marks: Weight | None = None) -> str:
     """ASCII picture: a dot row, cups as bracket arcs beneath, rays as bars."""
+    if marks is not None and marks.n != c.n:
+        raise ValidationError(f"marks {marks} do not fit a diagram on {c.n} points")
     head = " ".join("." if marks is None else marks.mark(i) for i in range(1, c.n + 1))
     lines = [head] + _arc_rows(c, "\\", "/", min_rows=1 if c.rays else 0)
     return "\n".join(line.rstrip() for line in lines if line.strip() or line is lines[0])

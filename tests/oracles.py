@@ -11,7 +11,8 @@ compared, exact elimination over Fraction with a
 Bareiss determinant, against which the pullback ranks, kernels and the
 K0 determinant read off their structure are compared, and the ordered
 scan of every composable triple, against which the sparse associativity
-check is compared.
+check is compared.  ``is_oriented`` is no oracle: it names the package's
+``orients_with_rays`` with every ray up for the membership tests.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from arcalg.arc_algebra import (AlgebraElement, BasisElement, CheckResult,
                                 StructureTable, _triple_rows, algebra_basis,
                                 basis, canonical_order, diagram_of)
 from arcalg.diagrams import Shape
-from arcalg.diagrams import (CIRCLE, DOWN, LINE, UP, Component, Weight,
-                             weight_to_m)
+from arcalg.diagrams import (CIRCLE, DOWN, LINE, UP, Component, CupDiagram,
+                             Weight, orients_with_rays, weight_to_m)
 
 # ---------------------------------------------------------------------------
 # bit-parallel exhaustive orientation filter: bitmaps over all 2**n mark
@@ -104,6 +105,26 @@ def component_census_oracle(w_bottom: Weight, w_top: Weight) -> list[tuple[str, 
         kind = "line" if any(v in rays for v in verts) else "circle"
         out.append((kind, tuple(sorted(verts))))
     return sorted(out, key=lambda t: t[1][0])
+
+
+def is_oriented(w: Weight, c: CupDiagram) -> bool:
+    """True iff w orients c with every ray up: w lies in c's component."""
+    return orients_with_rays(w, c, Weight(UP * c.n))
+
+
+def region_classes_oracle(c: CupDiagram) -> tuple[tuple[int, ...], ...]:
+    """The one-diagram classes on {0,..,n}, read as regions below the axis.
+
+    Gap g lies between points g and g+1.  Cups and rays cut the lower
+    half-plane into regions, and two gaps share one exactly when the same
+    cups span both and no ray falls between them.
+    """
+    regions: dict[tuple, list[int]] = {}
+    for g in range(c.n + 1):
+        key = (tuple(cup for cup in c.cups if cup[0] <= g < cup[1]),
+               sum(1 for r in c.rays if r <= g))
+        regions.setdefault(key, []).append(g)
+    return tuple(sorted(tuple(gaps) for gaps in regions.values()))
 
 
 def nesting_depth_oracle(z) -> list[int]:

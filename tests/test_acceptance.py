@@ -14,9 +14,9 @@ from arcalg import cohomology as co
 from arcalg import ktheory as kt
 from arcalg.diagrams import (Shape, StandardTableau, Weight, diagram_of,
                              enumerate_standard, enumerate_weights, glue,
-                             is_oriented, orientations, tableau_to_cup,
-                             weight_of_tableau, weight_to_C, weight_to_m)
-from oracles import direct_product_oracle, orientation_count_oracle
+                             orientations, tableau_to_cup, weight_of_tableau,
+                             weight_to_C, weight_to_m)
+from oracles import direct_product_oracle, is_oriented, orientation_count_oracle
 
 W = Weight.parse
 

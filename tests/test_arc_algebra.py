@@ -740,17 +740,36 @@ def test_table_json_round_trip():
     assert again.products == table.products
 
 
-@pytest.mark.parametrize("field, key, value, message", [
+def _tampered(field, key, value):
+    def edit(data):
+        data[field][key] = value
+        return json.dumps(data)
+    return edit
+
+
+# the (2,1) basis: #0 in Hom(^v, ^v), #1 in Hom(^v, v^), #2 in Hom(v^, ^v),
+# #3 and #4 in Hom(v^, v^)
+@pytest.mark.parametrize("edit, message", [
     # vv orients no diagram of (2,1): [^v|^v|vv] is no basis element
-    ("basis", 0, {"src": "^v", "tgt": "^v", "orient": "vv"}, "basis is not that of its weights"),
-    # the (2,1) basis has 5 elements
-    ("products", "0,9", [[0, 1]], "product 0,9 names no element"),
-], ids=["basis", "index"])
-def test_table_json_rejects_a_tampered_table(field, key, value, message):
+    (_tampered("basis", 0, {"src": "^v", "tgt": "^v", "orient": "vv"}),
+     "basis is not that of its weights"),
+    (_tampered("products", "0,9", [[0, 1]]), "product 0,9 names no element"),
+    (lambda data: json.dumps({**data, "alpha": 2}), "alpha must be"),
+    (lambda data: json.dumps({**data, "alpha": 1.0}), "alpha must be"),
+    (_tampered("products", "0,0", [[0]]), "malformed"),
+    (_tampered("products", "0,0", [[0, "x"]]), "int pairs"),
+    (_tampered("products", "1,1", [[1, 1]]), "do not compose"),
+    (_tampered("products", "0,0", [[1, 1]]), r"outside Hom\(\^v, \^v\)"),
+    (_tampered("products", "0,0,0", [[0, 1]]), "malformed"),
+    (lambda data: json.dumps({k: v for k, v in data.items() if k != "products"}),
+     "malformed"),
+    (lambda data: json.dumps(data)[:-1], "malformed"),
+], ids=["basis", "index", "alpha", "alpha-float", "no-coeff", "coeff-str",
+        "not-composable", "outside-hom", "key", "missing-field", "bad-json"])
+def test_table_json_rejects_a_tampered_table(edit, message):
     data = json.loads(structure_table(Shape(2, 1)).to_json())
-    data[field][key] = value
     with pytest.raises(ValidationError, match=message):
-        StructureTable.from_json(json.dumps(data))
+        StructureTable.from_json(edit(data))
 
 
 def test_table_text_dump_mentions_every_element():

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from arcalg.diagrams import (CupDiagram, Shape, StandardTableau, ValidationError,
                              Weight, cup_to_tableau, enumerate_standard,
                              enumerate_weights, epsilon, equivalence, glue,
-                             is_oriented, orientation_degree, orientations,
+                             orientation_degree, orientations,
                              orients_with_rays, render_cup, tableau_of_weight,
                              tableau_to_cup, weight_of_tableau, weight_to_C,
                              weight_to_m)
-from oracles import (circle_sign_oracle, component_census_oracle,
-                     nesting_depth_oracle, orientation_set_oracle)
+from oracles import (circle_sign_oracle, component_census_oracle, is_oriented,
+                     nesting_depth_oracle, orientation_set_oracle,
+                     region_classes_oracle)
 
 W = Weight.parse
 
@@ -52,7 +53,6 @@ def test_weight_rejects_non_strings(marks):
 def test_shape_validation():
     with pytest.raises(ValidationError):
         Shape(3, 2)
-    assert Shape(4, 2).top_len == 2
 
 
 def test_running_example_weights_in_order():
@@ -284,19 +284,11 @@ def test_glue_against_union_find_oracle():
 
 def test_nesting_forest():
     z = glue(weight_to_m(W("vv^^")), weight_to_m(W("vv^^")))
-    depths = [(c.vertices, z.depth(i)) for i, c in enumerate(z.components)]
+    depths = [(c.vertices, d) for c, d in zip(z.components, nesting_depth_oracle(z))]
     assert depths == [((1, 4), 0), ((2, 3), 1)]
     z = glue(weight_to_m(W("vvv^^^")), weight_to_m(W("vvv^^^")))
-    depths = [(c.vertices, z.depth(i)) for i, c in enumerate(z.components)]
+    depths = [(c.vertices, d) for c, d in zip(z.components, nesting_depth_oracle(z))]
     assert depths == [((1, 6), 0), ((2, 5), 1), ((3, 4), 2)]
-
-
-def test_depth_matches_parent_search():
-    for shape in all_shapes(8):
-        ws = weights_of(shape.n, shape.k)
-        for a, b in itertools.product(ws, repeat=2):
-            z = glue(weight_to_m(b), weight_to_m(a))
-            assert [z.depth(i) for i in range(len(z.components))] == nesting_depth_oracle(z)
 
 
 # --- epsilon ----------------------------------------------------------------
@@ -348,8 +340,7 @@ def test_single_diagram_classes():
     assert eq.classes == ((0, 2, 4), (1,), (3,))
 
 
-def test_single_diagram_classes_five_points():
-    from arcalg.diagrams import single_equivalence
+def test_single_diagram_classes_are_regions_below_the_axis():
     expected = {
         ((5, 4, 3), (2, 1)): ((0, 4), (1, 3), (2,), (5,)),
         ((5, 4, 2), (3, 1)): ((0, 2, 4), (1,), (3,), (5,)),
@@ -359,7 +350,11 @@ def test_single_diagram_classes_five_points():
     }
     for rows, classes in expected.items():
         cup = tableau_to_cup(StandardTableau(*rows))
-        assert single_equivalence(cup) == classes
+        assert equivalence(cup, cup).classes == classes
+    for shape in all_shapes(8):
+        for w in weights_of(shape.n, shape.k):
+            cup = weight_to_m(w)
+            assert equivalence(cup, cup).classes == region_classes_oracle(cup)
 
 
 def test_pair_classes_running_example():
@@ -378,7 +373,7 @@ def test_five_point_classes():
     assert eq.classes == ((0, 4), (1, 3, 5), (2,))
     assert eq.min_reps == (0, 1, 2)
     assert eq.circle_reps == (2,)
-    assert eq.rank_of(1) == 0 and eq.rank_of(2) == 1
+    assert dict(eq.rank)[1] == 0 and dict(eq.rank)[2] == 1
 
 
 def test_min_reps_are_leftmost_points():
@@ -400,17 +395,19 @@ def test_rank_matches_nesting_depth():
         for a, b in itertools.product(ws, repeat=2):
             eq = equivalence(weight_to_m(a), weight_to_m(b))
             z = glue(weight_to_m(b), weight_to_m(a))
+            depths = nesting_depth_oracle(z)
+            rank = dict(eq.rank)
             for idx, comp in enumerate(z.components):
                 if comp.kind != "circle":
                     continue
-                rep = eq.rep_of(comp.leftmost)
-                cls = eq.class_of(rep)
+                cls = next(cl for cl in eq.classes if comp.leftmost in cl)
+                rep = cls[0]
                 lines = {v for c2 in z.components if c2.kind == "line"
                          for v in c2.vertices}
                 if rep == 0 or any(v in lines for v in cls):
-                    assert eq.rank_of(rep) == 0
+                    assert rank[rep] == 0
                 else:
-                    assert eq.rank_of(rep) == 1 + z.depth(idx)
+                    assert rank[rep] == 1 + depths[idx]
 
 
 # --- degree -----------------------------------------------------------------
@@ -439,6 +436,32 @@ def test_cup_json_round_trip():
     assert CupDiagram.from_json(c.to_json()) == c
     data = json.loads(c.to_json())
     assert set(data) == {"n", "cups", "rays"}
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2}',
+    '{"n": 2, "cups": [[1, 2]]',
+    '{"n": "2", "cups": [[1, 2]], "rays": []}',
+    '{"n": 2, "cups": [[1.0, 2.0]], "rays": []}',
+    '{"n": 2, "cups": 12, "rays": []}',
+    '{"n": 3, "cups": [[1, 2, 3]], "rays": []}',
+    '[2, [[1, 2]], []]',
+], ids=["missing", "bad-json", "n-str", "point-float", "cups-int", "cup-triple", "list"])
+def test_cup_json_rejects_malformed_input(text):
+    with pytest.raises(ValidationError):
+        CupDiagram.from_json(text)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: W("^v").mark(0),
+    lambda: W("^v").mark(3),
+    lambda: W("^v").mark(-1),
+    lambda: render_cup(weight_to_m(W("v^")), W("v^v^")),
+    lambda: render_cup(weight_to_m(W("v^v^")), W("v^")),
+], ids=["mark-0", "mark-past-n", "mark-negative", "render-long-marks", "render-short-marks"])
+def test_point_indices_are_checked(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_render_cup_shapes():
