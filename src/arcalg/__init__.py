@@ -14,7 +14,7 @@ from .cohomology import (GradedDim, PullbackMap, RingPresentation,
                          stable_cohomology)
 from .arc_algebra import (AlgebraElement, BasisElement, CompositionError,
                           OrderError, StructureTable, basis, check_associativity,
-                          check_degree_additivity, check_nested_agreement,
+                          check_degree_additivity,
                           check_order_independence, degree, idempotent,
                           low_element, multiply, multiply_nested,
                           structure_table)

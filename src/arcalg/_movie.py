@@ -5,7 +5,7 @@ diagram one cup or ray at a time (a movie).  Ray columns are joined
 first; cups are surgered outermost-first (surgering an inner cup before
 an outer one would thread vertical strands through a still-present cup
 and destroy planarity, and with it the sign rules).  The movie's
-topology is compiled once per weight triple and cup order (None: the
+topology is compiled for each weight triple and cup order (None: the
 canonical one) into a tuple of events (merge, split, birth of a circle,
 a circle meeting a line), or None when a line reconnection kills every
 product.  It names each component by its lowest node, so a basis
@@ -79,7 +79,7 @@ def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...] | Non
 
 
 # ---------------------------------------------------------------------------
-# the movie, structural pass: compiled once per (x, y, z, cup order)
+# the movie, structural pass: compiled for each (x, y, z, cup order)
 #
 # Layer 0 holds the first factor (cups of m(x), caps of m(y)), layer 1 the
 # second (cups of m(y), caps of m(z)); column c of layer h is node 2c + h.
@@ -109,7 +109,6 @@ def _slots(x: Weight, y: Weight, z: Weight) -> list[list[int]]:
     return nb
 
 
-@lru_cache(maxsize=1024)
 def _compile_movie(x: Weight, y: Weight, z: Weight,
                    cup_order: tuple[tuple[int, int], ...] | None) -> tuple | None:
     """The movie's events, or None when every product vanishes.

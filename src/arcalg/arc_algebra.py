@@ -21,12 +21,12 @@ for every pair of the triple; the movie is the reference the
 convolution is tested against.
 
 Everything is pure.  The exhaustive checks at the bottom report the first
-failure in composable order.  The two movie checks, cup-order
-independence and agreement of alpha = -1 with the nested TQFT, share one
-loop (``_disagreement``): it folds each weight triple once per (mode, cup
-order) variant and compares the variants pair by pair.  The other checks
-read an alpha = +-1 structure table; associativity sums both bracketings
-over nonzero products only, and still reports the first failing triple.
+failure in composable order.  The movie check, cup-order independence,
+folds each weight triple once per cup order; at alpha = -1 it holds the
+nested rules at every order to the alpha = -1 product, so it also checks
+that alpha = -1 is the nested TQFT.  The other checks read an
+alpha = +-1 structure table; associativity sums both bracketings over
+nonzero products only, and still reports the first failing triple.
 """
 from __future__ import annotations
 
@@ -394,9 +394,9 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
 
 
 def clear_caches() -> None:
-    """Empty every memo: convolutions, compiled movies, twists, Hom spaces and their
-    bases, m(w) and the glued pairs of :mod:`arcalg.cohomology` (``_PAIRS``)."""
-    for memo in (_convolution, _compile_movie, _twist, canonical_order, _ends, weight_to_m):
+    """Empty every memo: convolutions, twists, Hom spaces and their bases, m(w)
+    and the glued pairs of :mod:`arcalg.cohomology` (``_PAIRS``)."""
+    for memo in (_convolution, _twist, canonical_order, _ends, weight_to_m):
         memo.cache_clear()
     cohomology._PAIRS.clear()
 
@@ -498,6 +498,9 @@ class StructureTable(NamedTuple):
             raise ValidationError(f"malformed structure table: {exc!r}") from None
         if type(alpha) is not int or alpha not in (1, -1):
             raise ValidationError(f"alpha must be +1 or -1, not {alpha!r}")
+        if weights not in (_weights(shape, False), _weights(shape, True)):
+            raise ValidationError(f"the table's weights are not those of shape "
+                                  f"({shape.n},{shape.k})")
         if basis_ != tuple(b for x in weights for y in weights for b in basis(x, y)):
             raise ValidationError("the table's basis is not that of its weights")
         for (i, j), terms in products.items():
@@ -530,11 +533,15 @@ class StructureTable(NamedTuple):
         return "\n".join(lines)
 
 
-def algebra_basis(shape: Shape, standard_only: bool = False) -> tuple[tuple[Weight, ...], tuple[BasisElement, ...]]:
+def _weights(shape: Shape, standard_only: bool) -> tuple[Weight, ...]:
+    """The weights of a table of ``shape``: all, or those of standard tableaux."""
     if standard_only:
-        weights = tuple(weight_of_tableau(s) for s in enumerate_standard(shape))
-    else:
-        weights = tuple(enumerate_weights(shape))
+        return tuple(weight_of_tableau(s) for s in enumerate_standard(shape))
+    return tuple(enumerate_weights(shape))
+
+
+def algebra_basis(shape: Shape, standard_only: bool = False) -> tuple[tuple[Weight, ...], tuple[BasisElement, ...]]:
+    weights = _weights(shape, standard_only)
     return weights, tuple(b for x in weights for y in weights for b in basis(x, y))
 
 
@@ -640,34 +647,19 @@ def _associativity(table: StructureTable) -> CheckResult:
 def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
     """Products agree across every nesting-compatible cup order.
 
-    At alpha = -1 the nested rules are compared: the minus product at an
-    explicit order is the +1 fold times a sign that does not depend on
-    the order, while the nested flip does.
+    At alpha = +1 every order's product is held to the first order's.  At
+    alpha = -1 the nested rules, with the flip, are folded at every order
+    and held to the alpha = -1 product, so one pass checks that alpha = -1
+    is the nested TQFT and that it does not depend on the cup order.  Each
+    weight triple is folded once per (mode, order); pairs are compared in
+    composable order, and within a pair order by order.
     """
     mode = "plus" if _mode(alpha) == "plus" else "nested"
-    return _disagreement(shape, lambda y: [(mode, order) for order in cup_orders(weight_to_m(y))],
-                         lambda a, b, variant, got, want:
-                         f"a={a} b={b} order={variant[1]}: {got.x_form()} != {want.x_form()}")
-
-
-def check_nested_agreement(shape: Shape) -> CheckResult:
-    """multiply_nested agrees with multiply(alpha=-1) on every composable pair."""
-    return _disagreement(shape, lambda y: [("minus", None), ("nested", None)],
-                         lambda a, b, variant, got, want:
-                         f"a={a} b={b}: nested {got.x_form()} != alpha=-1 {want.x_form()}")
-
-
-def _disagreement(shape: Shape, variants, witness) -> CheckResult:
-    """The first composable pair whose products disagree across ``variants``.
-
-    ``variants(y)`` lists the (mode, cup order) pairs to compare for
-    middle weight y, the reference first.  Each weight triple is folded
-    once per variant; pairs are then compared in composable order, and
-    within a pair variant by variant.  ``witness(a, b, variant, got,
-    want)`` words the failure, got and want as elements of Hom(x, z).
-    """
     weights = enumerate_weights(shape)
-    per_y = {y: list(variants(y)) for y in weights}
+    per_y = {}  # per middle weight, the (mode, order) variants, the reference first
+    for y in weights:
+        orders = [(mode, order) for order in cup_orders(weight_to_m(y))]
+        per_y[y] = orders if mode == "plus" else [("minus", None), *orders]
     for x in weights:
         for y in weights:
             first, (_, *alts) = _ends(x, y).elements, per_y[y]
@@ -681,11 +673,12 @@ def _disagreement(shape: Shape, variants, witness) -> CheckResult:
             for i, a in enumerate(first):
                 for z, (want, *gots) in triples:
                     for j, b in enumerate(_ends(y, z).elements):
-                        for variant, got in zip(alts, gots):
+                        for (_, order), got in zip(alts, gots):
                             if got[i].get(j) != want[i].get(j):
                                 got, want = (AlgebraElement(x, z, dict(rows[i].get(j, ())))
                                              for rows in (got, want))
-                                return CheckResult(False, witness(a, b, variant, got, want))
+                                return CheckResult(False, f"a={a} b={b} order={order}: "
+                                                          f"{got.x_form()} != {want.x_form()}")
     return CheckResult(True)
 
 

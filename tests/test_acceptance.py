@@ -151,7 +151,7 @@ def test_criterion_5_sequence_independence():
 def test_criterion_6_embedded_tqft_equivalence():
     t0 = time.time()
     for shape in all_shapes(6):
-        res = aa.check_nested_agreement(shape)
+        res = aa.check_order_independence(shape, -1)
         assert res.ok, f"{shape}: {res.witness}"
     _report(6, "multiply_nested equals multiply(alpha=-1) on all pairs, n <= 6", t0)
 

@@ -11,7 +11,7 @@ from arcalg import arc_algebra, cli, cohomology
 from arcalg.arc_algebra import (AlgebraElement, BasisElement, CompositionError,
                                 OrderError, StructureTable, basis,
                                 canonical_order, check_associativity,
-                                check_degree_additivity, check_nested_agreement,
+                                check_degree_additivity,
                                 check_order_independence, check_unit, cup_orders,
                                 degree, idempotent, low_element, multiply,
                                 multiply_nested, structure_table)
@@ -305,12 +305,6 @@ def test_degree_additivity_small(shape, alpha):
     assert res.ok, res.witness
 
 
-@pytest.mark.parametrize("shape", [Shape(2, 1), Shape(3, 1), Shape(4, 2), Shape(5, 2)])
-def test_nested_agreement_small(shape):
-    res = check_nested_agreement(shape)
-    assert res.ok, res.witness
-
-
 @pytest.mark.parametrize("shape", [Shape(2, 1), Shape(3, 1), Shape(4, 2)])
 def test_associativity_plus_small(shape):
     res = check_associativity(shape, 1)
@@ -344,29 +338,45 @@ def _negate(terms):
     return tuple((t, -c) for t, c in terms)
 
 
+def _corrupt_pair_in_rows(monkeypatch, corrupt, when):
+    """``_triple_rows`` gives corrupt(terms) as PAIR's product where when(mode, cup order)."""
+    real = arc_algebra._triple_rows
+    a, b = PAIR
+    i, j = basis(a.src, a.tgt).index(a), basis(b.src, b.tgt).index(b)
+
+    def fake(x, y, z, mode, cup_order, index, _only=None):
+        rows = real(x, y, z, mode, cup_order, index, _only)
+        if (x, y, z) == (a.src, a.tgt, b.tgt) and when(mode, cup_order):
+            rows[i] = [(k, corrupt(terms) if k == j else terms) for k, terms in rows[i]]
+        return rows
+
+    monkeypatch.setattr(arc_algebra, "_triple_rows", fake)
+
+
 @pytest.mark.parametrize("check, args, corrupt, when, detail", [
-    (check_nested_agreement, (), _negate,
-     lambda mode, order: mode == "nested", ": nested - x1 + x2 != alpha=-1 x1 - x2"),
+    (check_order_independence, (-1,), _negate,
+     lambda mode, order: mode == "nested", " order=((1, 2), (3, 4)): - x1 + x2 != x1 - x2"),
     (check_order_independence, (-1,), _negate,
      lambda mode, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 + x2 != x1 - x2"),
     (check_order_independence, (1,), _negate,
      lambda mode, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 - x2 != x1 + x2"),
 ])
 def test_checks_fail_on_one_corrupted_product(monkeypatch, check, args, corrupt, when, detail):
-    real = arc_algebra._triple_rows
     a, b = PAIR
-    i, j = basis(a.src, a.tgt).index(a), basis(b.src, b.tgt).index(b)
-
-    def fake(x, y, z, mode, cup_order, index):
-        rows = real(x, y, z, mode, cup_order, index)
-        if (x, y, z) == (a.src, a.tgt, b.tgt) and when(mode, cup_order):
-            rows[i] = [(k, corrupt(terms) if k == j else terms) for k, terms in rows[i]]
-        return rows
-
-    monkeypatch.setattr(arc_algebra, "_triple_rows", fake)
+    _corrupt_pair_in_rows(monkeypatch, corrupt, when)
     res = check(Shape(4, 2), *args)
     assert not res.ok
     assert res.witness.startswith(f"a={a} b={b}{detail}"), res.witness
+
+
+def test_order_check_holds_every_order_to_alpha_minus_1(monkeypatch):
+    # a nested product negated at every cup order: the orders still agree
+    # with each other, and only the alpha = -1 product tells them wrong
+    a, b = (AlgebraElement(t.src, t.tgt, {t: 1}) for t in PAIR)
+    _corrupt_pair_in_rows(monkeypatch, _negate, lambda mode, order: mode == "nested")
+    products = [multiply_nested(a, b, order) for order in cup_orders(weight_to_m(a.tgt))]
+    assert len(products) == 2 and products[0] == products[1] != multiply(a, b, -1)
+    assert not check_order_independence(Shape(4, 2), -1).ok
 
 
 def _corrupt_pair_in_tables(monkeypatch, corrupt, pair=PAIR):
@@ -631,7 +641,7 @@ MEMOS = _memos()
 
 def test_the_scan_finds_every_memo():
     assert {m.__wrapped__.__qualname__ for m in MEMOS} == {
-        "_convolution", "_compile_movie", "_twist", "canonical_order", "_ends", "weight_to_m"}
+        "_convolution", "_twist", "canonical_order", "_ends", "weight_to_m"}
 
 
 def test_clear_caches_empties_every_memo():
@@ -655,21 +665,26 @@ def test_memos_are_bounded():
     assert all(m.cache_info().maxsize is not None for m in MEMOS)
 
 
-def test_plus_and_minus_tables_compile_no_movie():
+def test_plus_and_minus_tables_compile_no_movie(monkeypatch):
+    compiled = []
+    real = arc_algebra._compile_movie
+    monkeypatch.setattr(arc_algebra, "_compile_movie",
+                        lambda *triple: compiled.append(triple) or real(*triple))
     arc_algebra.clear_caches()
     for alpha in (1, -1):
         structure_table(Shape(6, 3), alpha)
-    assert arc_algebra._compile_movie.cache_info().currsize == 0
+    assert not compiled
     assert arc_algebra._twist.cache_info().currsize > 0
-    check_nested_agreement(Shape(4, 2))
-    assert arc_algebra._compile_movie.cache_info().currsize > 0
+    check_order_independence(Shape(4, 2), -1)
+    assert compiled
     # A nested product at the canonical order flips no sign, and alpha +1
     # carries none: neither walks a twist.
     for job in (lambda: multiply_nested(one(NESTED, NXT), one(NXT, NESTED)),
                 lambda: check_order_independence(Shape(6, 3), 1)):
         arc_algebra.clear_caches()
+        compiled.clear()
         job()
-        assert arc_algebra._compile_movie.cache_info().currsize > 0
+        assert compiled
         assert arc_algebra._twist.cache_info().misses == 0
 
 
@@ -740,6 +755,11 @@ def test_table_json_round_trip():
     assert again.products == table.products
 
 
+def test_standard_table_json_round_trip():
+    table = structure_table(Shape(4, 2), alpha=1, standard_only=True)
+    assert StructureTable.from_json(table.to_json()) == table
+
+
 def _tampered(field, key, value):
     def edit(data):
         data[field][key] = value
@@ -764,8 +784,9 @@ def _tampered(field, key, value):
     (lambda data: json.dumps({k: v for k, v in data.items() if k != "products"}),
      "malformed"),
     (lambda data: json.dumps(data)[:-1], "malformed"),
+    (lambda data: json.dumps({**data, "shape": [6, 3]}), r"not those of shape \(6,3\)"),
 ], ids=["basis", "index", "alpha", "alpha-float", "no-coeff", "coeff-str",
-        "not-composable", "outside-hom", "key", "missing-field", "bad-json"])
+        "not-composable", "outside-hom", "key", "missing-field", "bad-json", "shape"])
 def test_table_json_rejects_a_tampered_table(edit, message):
     data = json.loads(structure_table(Shape(2, 1)).to_json())
     with pytest.raises(ValidationError, match=message):

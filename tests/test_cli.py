@@ -109,10 +109,14 @@ def test_check_failure_exit_code(capsys):
                    "(ab)c=- 2*x1 != a(bc)=2*x1\n")
 
 
-def test_check_nested_runs_at_alpha_minus_1_only(capsys):
-    code, out, err = run(capsys, "check", "--n", "4", "--k", "2", "--which", "nested")
-    assert code == 1 and out == ""
-    assert err == "error: check nested does not run at alpha +1\n"
+@pytest.mark.parametrize("alpha", ["1", "-1"])
+def test_check_nested_is_a_usage_error(capsys, alpha):
+    # nested = alpha -1 is checked by --which orders --alpha -1
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--n", "4", "--k", "2", "--alpha", alpha, "--which", "nested"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.startswith("usage: arcalg check") and "invalid choice: 'nested'" in err
 
 
 def test_check_which_offers_each_registered_check(capsys):
@@ -215,7 +219,7 @@ def test_scripts_refuse_a_range_without_shapes(name, max_n, error, tmp_path):
 
 def test_scripts_run_the_smallest_range(tmp_path):
     proc = run_script("run_checks.py", "--max-n", "2")
-    assert proc.returncode == 0 and proc.stdout.count("(2,1)") == 9
+    assert proc.returncode == 0 and proc.stdout.count("(2,1)") == 8
     proc = run_script("export_tables.py", "--max-n", "2", "--out-dir", str(tmp_path))
     assert proc.returncode == 0 and proc.stdout == "wrote shape (2,1)\n"
 
@@ -282,8 +286,7 @@ def test_check_all_builds_each_table_once(monkeypatch, capsys, alpha):
     builds = _count_table_builds(monkeypatch, arc_algebra)
     code, out, _ = run(capsys, "check", "--n", "4", "--k", "2", "--alpha", str(alpha))
     assert code == 0
-    # nested-TQFT agreement runs at alpha = -1 only
-    assert out.count(": PASS") + out.count(": FAIL") == (4 if alpha == 1 else 5)
+    assert out.count(": PASS") + out.count(": FAIL") == 4
     shape = Shape(4, 2)
     assert builds == {(shape, alpha): 1}
 
@@ -297,5 +300,5 @@ def test_run_checks_builds_each_table_once_per_shape(monkeypatch, capsys):
     builds = _count_table_builds(monkeypatch, arc_algebra)
     monkeypatch.setattr(sys, "argv", ["run_checks.py", "--max-n", "3"])
     assert script.main() == 0
-    assert capsys.readouterr().out.count(": PASS") == 2 * 9
+    assert capsys.readouterr().out.count(": PASS") == 2 * 8
     assert builds == {(Shape(n, k), alpha): 1 for n, k in ((2, 1), (3, 1)) for alpha in (1, -1)}
