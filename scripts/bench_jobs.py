@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Time the user-facing jobs in fresh processes and write BENCH_jobs.json.
 
-The jobs are ``structure_table`` and ``check_associativity`` at each
-shape, for alpha +1 and -1, and ``cohomology``, which asks every ordered
-weight pair of the shape for ``poincare(shifted=True)``,
-``intersection_cohomology``, ``kernel_contains_both`` and
-``odd_normalization``, in that order (alpha does not apply: null).
+The jobs are ``structure_table``, ``check_associativity`` and
+``check_order_independence`` at each shape, for alpha +1 and -1, and
+``cohomology``, which asks every ordered weight pair of the shape for
+``poincare(shifted=True)``, ``intersection_cohomology``,
+``kernel_contains_both`` and ``odd_normalization``, in that order
+(alpha does not apply: null).
 ``--jobs`` picks some of them.  Every run is a fresh interpreter that
 imports ``arcalg`` from ``<tree>/src`` and nothing else, so every memo
 starts empty, as on each ``arcalg`` call.  With two ``--src`` trees
@@ -15,8 +16,9 @@ and which tree goes first alternates between repetitions.
 Per run the file records the commit of the tree, the wall time of the
 call alone (interpreter start and imports excluded), the peak RSS right
 after the imports and right after the call, and the SHA-256 of the
-table's ``to_json()`` (of the witness, for a failing check; of the
-outputs' ``repr``s joined by newlines, for ``cohomology``).  Both
+table's ``to_json()`` (for a check, of its witness, null when it passes,
+and its ``ok`` too; of the outputs' ``repr``s joined by newlines, for
+``cohomology``).  Both
 peaks are the child's own ``VmHWM`` from ``/proc/self/status`` (Linux):
 ``ru_maxrss`` would carry over the high-water mark of the process that
 spawned it.  Medians per (job, shape, alpha, commit) follow the runs.
@@ -35,13 +37,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-JOBS = ("structure_table", "check_associativity", "cohomology")
+JOBS = ("structure_table", "check_associativity", "check_order_independence", "cohomology")
 
 # One run; argv: source directory, job, n, k, alpha (JSON).  Prints one JSON line.
 CHILD = """
 import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
-from arcalg.arc_algebra import check_associativity, structure_table
+from arcalg.arc_algebra import check_associativity, check_order_independence, structure_table
 from arcalg.cohomology import (intersection_cohomology, kernel_contains_both,
                                odd_normalization, poincare)
 from arcalg.diagrams import Shape, enumerate_weights
@@ -57,15 +59,16 @@ imported = high_water_mb()
 job, shape = sys.argv[2], Shape(int(sys.argv[3]), int(sys.argv[4]))
 alpha = json.loads(sys.argv[5])
 call = {"structure_table": structure_table, "check_associativity": check_associativity,
-        "cohomology": cohomology}[job]
+        "check_order_independence": check_order_independence, "cohomology": cohomology}[job]
+check = job.startswith("check_")
 start = time.perf_counter()
 result = call(shape, alpha)
 wall = time.perf_counter() - start
 peak = high_water_mb()
 text = (result.to_json() if job == "structure_table" else
-        result.witness if job == "check_associativity" else "\\n".join(map(repr, result)))
+        result.witness if check else "\\n".join(map(repr, result)))
 print(json.dumps({"wall_s": wall, "import_rss_mb": imported, "peak_rss_mb": peak,
-                  "ok": result.ok if job == "check_associativity" else None,
+                  "ok": result.ok if check else None,
                   "sha256": text and hashlib.sha256(text.encode()).hexdigest()}))
 """
 

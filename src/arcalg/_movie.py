@@ -5,16 +5,16 @@ diagram one cup or ray at a time (a movie).  Ray columns are joined
 first; cups are surgered outermost-first (surgering an inner cup before
 an outer one would thread vertical strands through a still-present cup
 and destroy planarity, and with it the sign rules).  The movie's
-topology is compiled for each weight triple and cup order (None: the
-canonical one) into a tuple of events (merge, split, birth of a circle,
-a circle meeting a line), or None when a line reconnection kills every
-product.  It names each component by its lowest node, so a basis
-element's label set, read once per Hom space (``arc_algebra._ends``), is
-a valid start or end of every movie with no translation.  The twist, the
-exponent of the movie's alpha = -1 signs, is read off the same walk with
-no events, where ``arc_algebra._triple_rows`` applies it.  A label
-pass folds the events for each pair of basis elements of the triple
-under one of two rule sets:
+topology is compiled for each weight triple and cup order into a tuple
+of events (merge, split, birth of a circle, a circle meeting a line),
+or None when a line reconnection kills every product, together with the
+movie's twist, the exponent of its alpha = -1 signs.  It names each
+component by its lowest node, so a basis element's label set, read once
+per Hom space (``arc_algebra._ends``), is a valid start or end of every
+movie with no translation.  ``_twist`` reads the twist at the canonical
+order off the same walk with no events, for the convolution's alpha =
+-1 sign.  A label pass folds the events for each pair of basis elements
+of the triple under one of two rule sets:
 
 * Frobenius  Khovanov's Z[X]/(X^2): merge m, split 1 -> X(x)1 + 1(x)X;
   this is the associative ``alpha=+1`` product.  The ``alpha=-1``
@@ -25,7 +25,7 @@ under one of two rule sets:
   one sign per movie, read at both ends in z-coordinates.
 * nested     the embedded TQFT which dispatches merges/splits on circle
   nesting (m, Delta for disjoint circles; m', Delta' with the outer
-  circle first for nested ones).  It agrees with ``alpha=-1``.
+  circle first for nested ones).  It is the movie's ``alpha=-1``.
 
 Surgeries touching lines follow the graded rules: a saddle joining or
 reconnecting two line segments is the identity when both vanishing arcs
@@ -65,7 +65,7 @@ def cup_orders(mid: CupDiagram):
 
 
 def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...] | None:
-    """``order`` as a tuple of cups, checked against ``mid``; None (canonical) stays None."""
+    """``order`` as a tuple of cups, checked against ``mid``; None stays None."""
     if order is None:
         return None
     order = tuple(tuple(c) for c in order)
@@ -91,7 +91,7 @@ def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...] | Non
 # parity and flip the mark, the vertical strands left by the surgeries keep
 # both, so along a component the mark flips exactly with the column parity.
 # One walker, ``diagrams._walk``, follows these slots for the compiled
-# movie and the twist, and a point's cup and cap slots for ``glue``.
+# movie and the canonical twist, and a point's cup and cap slots for ``glue``.
 
 # events: a circle born with X (a ray closing or a circle pinched off a
 # line; it carries its nested-mode sign), a circle meeting a line, two
@@ -110,16 +110,17 @@ def _slots(x: Weight, y: Weight, z: Weight) -> list[list[int]]:
 
 
 def _compile_movie(x: Weight, y: Weight, z: Weight,
-                   cup_order: tuple[tuple[int, int], ...] | None) -> tuple | None:
-    """The movie's events, or None when every product vanishes.
+                   cup_order: tuple[tuple[int, int], ...]) -> tuple | None:
+    """The movie's events and twist (mod 2), or None when every product vanishes.
 
     A line reconnecting through a clockwise or mismatched arc kills every
     product.  m(y)'s ray columns are linked before the one walk that
-    registers every component; its cups are then surgered in ``cup_order``
-    (None: the canonical order), and only the components a surgery touches
-    are walked again.  A circle of that walk through a ray column was
-    closed by the ray joins and is born with X; its smallest ray column
-    gives the birth's sign.  A component's id is its lowest node: a circle
+    registers every component; its cups are then surgered in ``cup_order``,
+    and only the components a surgery touches are walked again.  A circle
+    of that walk through a ray column was closed by the ray joins and is
+    born with X; its smallest ray column r gives the birth's sign and adds
+    r + 1 to the twist, as each cup (i, j) that splits a circle or pinches
+    one off a line adds i.  A component's id is its lowest node: a circle
     of Hom(x, y) with leftmost point c has id 2c and one of Hom(y, z) id
     2c + 1; after the last surgery every column is a strand, so a circle
     of Hom(x, z) has id 2c again.  A label set has bit ``id`` set for each
@@ -164,15 +165,17 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
         return (forced[start] == DOWN) != bool((v ^ start) & 2)
 
     events: list[tuple] = []
+    twist = 0
     for v in range(2, size):
         if owner[v] < 0:
             g = register(v)
             nodes, is_line = comps[g]
             rays = [r for r in my.rays if nodes >> 2 * r & 1]
             if rays and not is_line:  # the ray joins closed a circle, born with X
+                twist += min(rays) + 1
                 events.append((_BIRTH, 1 << g, (-1) ** (min(rays) + 1 + (g >> 1))))
 
-    for i, j in cup_order or canonical_order(my):
+    for i, j in cup_order:
         li, ui, lj, uj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
         a, b = owner[ui], owner[li]
         a_line, b_line = comps[a][1], comps[b][1]
@@ -196,25 +199,26 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
                 raise RuntimeError("self-saddle failed to split a circle (non-planar state)")
             outer = 1 << gj if inside(gi, gj) else 1 << gi if inside(gj, gi) else 0
             events.append((_SPLIT, 1 << a, 1 << gi, 1 << gj, outer))
+            twist += i
         else:
             born = [g for g in (gi, gj) if not comps[g][1]]
             if born:  # a circle pinches off the line, born with X
                 events.append((_BIRTH, 1 << born[0], (-1) ** (i + (born[0] >> 1))))
+                twist += i
             elif clockwise:  # the line reconnects with itself
                 return None
 
-    return tuple(events)
+    return tuple(events), twist % 2
 
 
 @lru_cache(maxsize=1024)
-def _twist(x: Weight, y: Weight, z: Weight,
-           cup_order: tuple[tuple[int, int], ...] | None) -> int:
+def _twist(x: Weight, y: Weight, z: Weight) -> int:
     """Khovanov's split sign: the exponent of the movie's alpha = -1 signs, mod 2.
 
     The sum of (smallest ray + 1) over the circles that m(y)'s ray joins
-    close, plus the left end i of each cup (i, j) of ``cup_order`` that
-    splits a circle or pinches one off a line.  ``cup_order`` None is the
-    canonical order, the one the alpha = -1 sign is taken at.  Only which
+    close, plus the left end i of each cup (i, j) of the canonical order
+    that splits a circle or pinches one off a line: the compiled movie's
+    twist at that order, where the alpha = -1 sign is taken.  Only which
     nodes meet is followed: no label, event or nesting.
     """
     nb = _slots(x, y, z)
@@ -223,7 +227,7 @@ def _twist(x: Weight, y: Weight, z: Weight,
         if _walk(nb, 2 * r)[0] >> 2 * r + 1 & 1:
             twist += r + 1
         nb[2 * r][1], nb[2 * r + 1][1] = 2 * r + 1, 2 * r
-    for i, j in cup_order or canonical_order(weight_to_m(y)):
+    for i, j in canonical_order(weight_to_m(y)):
         li, ui, lj, uj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
         nodes, cycle = _walk(nb, ui)
         nb[li][1], nb[lj][1], nb[ui][1], nb[uj][1] = ui, uj, li, lj  # the saddle

@@ -8,17 +8,17 @@ the circle's leftmost point i" tying everything to the ring presentations
 in :mod:`arcalg.cohomology`.
 
 Every product goes through ``_triple_rows``, which gives all products of
-one weight triple (x, y, z) at once.  At alpha = +-1 and the canonical
-cup order no movie runs.  After the last surgery every column carries a
-vertical strand, so the whole cobordism of the triple is fixed by the
-components of m(x), m(y) and m(z) drawn together: the convolution reads
-every alpha = +1 product of the triple off per-component counts, and
-alpha = -1 is that product times (-1)**(pa + pb + twist) with the output
-parities; the twist is read off a walk that follows only which nodes of
-the movie meet.  Nested mode and explicit cup orders fold the surgery
-movie of :mod:`arcalg._movie`, under the nested or the Frobenius rules,
-for every pair of the triple; the movie is the reference the
-convolution is tested against.
+one weight triple (x, y, z) at once.  Alpha picks the rules and the cup
+order the engine.  At the default order (None) no movie runs.  After the
+last surgery every column carries a vertical strand, so the whole
+cobordism of the triple is fixed by the components of m(x), m(y) and
+m(z) drawn together: the convolution reads every alpha = +1 product of
+the triple off per-component counts, and alpha = -1 is that product
+times (-1)**(pa + pb + twist) with the output parities; the twist is
+read off a walk that follows only which nodes of the movie meet.  An
+explicit cup order folds the surgery movie of :mod:`arcalg._movie`, under
+the Frobenius rules at +1 and the nested rules at -1, for every pair of
+the triple; the movie is the reference the convolution is tested against.
 
 Everything is pure.  The exhaustive checks at the bottom report the first
 failure in composable order.  The movie check, cup-order independence,
@@ -333,56 +333,54 @@ def _bits(mask: int) -> list[int]:
 # public products
 
 
-def _triple_rows(x: Weight, y: Weight, z: Weight, mode: str,
+def _triple_rows(x: Weight, y: Weight, z: Weight, alpha: int,
                  cup_order: tuple[tuple[int, int], ...] | None, index, _only=None) -> list | None:
     """The products of Hom(x, y) with Hom(y, z), or None where all vanish.
 
     Row i lists (j, ((index[k], coeff), ...)) for element i of Hom(x, y)
     and each j of Hom(y, z) whose product with it is nonzero, k running
-    over Hom(x, z).  At ``cup_order`` None the convolution decides which
-    triples are live, and plus and minus mode read it; nested mode and
-    explicit orders fold the compiled movie, each pair (i, j) a load of
-    its own, i << w | j; ``_only`` = (the i's, the j's) folds just those
-    pairs and leaves the rest zero, and None folds every pair.  Minus mode
-    multiplies the +1 product by (-1)**(pa + pb + twist at the canonical
+    over Hom(x, z).  ``cup_order`` None reads the convolution; alpha = -1
+    multiplies its +1 product by (-1)**(pa + pb + twist at the canonical
     order) and negates odd-parity terms, turning leftmost-x classes into
-    z-classes (z_i = (-1)**i x_i) at both ends.  On movies with handles
+    z-classes (z_i = (-1)**i x_i) at both ends.  An explicit order folds
+    the compiled movie, under the Frobenius rules at +1 and the nested
+    rules at -1, for every pair (i, j), or with ``_only`` = (the i's, the
+    j's) just for those, leaving the rest zero.  On movies with handles
     (n >= 6) the splitting cups vary with the order, so a nested product is
-    negated (flipped) where the twist at ``cup_order`` differs.
+    negated (flipped) where the movie's twist differs from the canonical one.
     """
-    if cup_order is None and (kernel := _convolution(x, y, z)) is None:
-        return None
-    if mode == "nested" or cup_order is not None:
-        events = _compile_movie(x, y, z, cup_order)
-        if events is None:
+    if cup_order is not None:
+        if (movie := _compile_movie(x, y, z, cup_order)) is None:
             return None
+        events, twist = movie
+        sign = -1 if alpha == -1 and cup_order != canonical_order(weight_to_m(y)) and (
+            twist != _twist(x, y, z)) else 1  # the flip
         hxy, hyz, hxz = _ends(x, y), _ends(y, z), _ends(x, z)
-        w = (len(hyz.labels) - 1).bit_length()
-        sign = -1 if mode == "nested" and cup_order is not None and (
-            _twist(x, y, z, cup_order) != _twist(x, y, z, None)) else 1  # the flip
-        outs = [None] * (len(hxy.labels) << w)
+        rows: list = [[] for _ in hxy.labels]
         firsts, seconds = _only or (range(len(hxy.labels)), range(len(hyz.labels)))
         for i in firsts:
             for j in seconds:
-                load = hxy.labels[i] | hyz.labels[j] << 1
-                terms = _fold(events, mode == "nested", {load: sign})
+                terms = _fold(events, alpha == -1, {hxy.labels[i] | hyz.labels[j] << 1: sign})
                 try:
-                    outs[i << w | j] = tuple(sorted((hxz.at[labels], c)
-                                                    for labels, c in terms.items()))
+                    ks = sorted((hxz.at[labels], c) for labels, c in terms.items())
                 except KeyError as missing:
                     raise RuntimeError(f"the movie {x} | {y} | {z} survives, but Hom({x}, {z}) "
                                        f"has no element with label set {missing.args[0]:#b}"
                                        ) from None
-        kernel = range(0, len(outs), 1 << w), range(len(hyz.labels)), outs
+                if ks:
+                    rows[i].append((j, tuple((index[k], c) for k, c in ks)))
+        return rows
+    if (kernel := _convolution(x, y, z)) is None:
+        return None
     loads_a, loads_b, outs = kernel
-    if mode != "minus":
+    if alpha == 1:
         shifted = [terms and tuple((index[k], c) for k, c in terms) for terms in outs]
         return [[] if la is None else
                 [(j, terms) for j, lb in enumerate(loads_b)
                  if lb is not None and not la & lb and (terms := shifted[la | lb])]
                 for la in loads_a]
     hxy, hyz, hxz = _ends(x, y), _ends(y, z), _ends(x, z)
-    twist = _twist(x, y, z, None)
+    twist = _twist(x, y, z)
     signed = [terms and (tuple((index[k], -c if hxz.parities[k] else c) for k, c in terms),
                          tuple((index[k], c if hxz.parities[k] else -c) for k, c in terms))
               for terms in outs]
@@ -401,11 +399,11 @@ def clear_caches() -> None:
     cohomology._PAIRS.clear()
 
 
-def _mode(alpha: int) -> str:
-    """The rule set of the product at ``alpha``: "plus" or "minus"."""
-    if alpha not in (1, -1):
+def _alpha(alpha: int) -> int:
+    """``alpha``, if it is the int +1 or -1; ValidationError otherwise."""
+    if type(alpha) is not int or alpha not in (1, -1):
         raise ValidationError(f"alpha must be +1 or -1, not {alpha!r}")
-    return "plus" if alpha == 1 else "minus"
+    return alpha
 
 
 def _expand(terms: dict, product) -> dict:
@@ -420,13 +418,13 @@ def _expand(terms: dict, product) -> dict:
     return {b: c for b, c in out.items() if c}
 
 
-def _compose(a: AlgebraElement, b: AlgebraElement, mode: str, order) -> AlgebraElement:
+def _compose(a: AlgebraElement, b: AlgebraElement, alpha: int, order) -> AlgebraElement:
     if a.tgt != b.src:
         raise CompositionError(f"cannot compose {a.src}->{a.tgt} with {b.src}->{b.tgt}")
     coeffs_a = {_ends(a.src, a.tgt).index[t]: c for t, c in a.terms.items()}
     coeffs_b = {_ends(b.src, b.tgt).index[t]: c for t, c in b.terms.items()}
     cup_order = _validate_order(weight_to_m(a.tgt), order)
-    rows = _triple_rows(a.src, a.tgt, b.tgt, mode, cup_order, basis(a.src, b.tgt),
+    rows = _triple_rows(a.src, a.tgt, b.tgt, alpha, cup_order, basis(a.src, b.tgt),
                         (coeffs_a, coeffs_b))
     out: dict[BasisElement, int] = defaultdict(int)
     for i, ca in coeffs_a.items():
@@ -449,12 +447,12 @@ def multiply(a: AlgebraElement, b: AlgebraElement, alpha: int = 1, order=None) -
     the movie in that cup processing order, which must schedule
     containing cups before contained ones.
     """
-    return _compose(a, b, _mode(alpha), order)
+    return _compose(a, b, _alpha(alpha), order)
 
 
 def multiply_nested(a: AlgebraElement, b: AlgebraElement, order=None) -> AlgebraElement:
-    """Embedded-TQFT product: merge/split maps sensitive to circle nesting."""
-    return _compose(a, b, "nested", order)
+    """Embedded-TQFT product, the movie at alpha = -1 (default: the canonical order)."""
+    return _compose(a, b, -1, canonical_order(weight_to_m(a.tgt)) if order is None else order)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +494,7 @@ class StructureTable(NamedTuple):
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"malformed structure table: {exc!r}") from None
-        if type(alpha) is not int or alpha not in (1, -1):
-            raise ValidationError(f"alpha must be +1 or -1, not {alpha!r}")
+        _alpha(alpha)
         if weights not in (_weights(shape, False), _weights(shape, True)):
             raise ValidationError(f"the table's weights are not those of shape "
                                   f"({shape.n},{shape.k})")
@@ -551,7 +548,7 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False) -
     Weight triples are visited x, then y, then z, and each live triple
     fills its rows; products still come in composable order.
     """
-    the_mode = _mode(alpha)
+    _alpha(alpha)
     weights, els = algebra_basis(shape, standard_only)
     # indices[x][y]: the table indices of Hom(x, y), one int object each,
     # shared by every key and term (x, y positions in ``weights``)
@@ -569,7 +566,7 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False) -
             if not first:
                 continue
             live = [(second, rows) for z, second, out in zip(weights, from_y, from_x)
-                    if second and (rows := _triple_rows(x, y, z, the_mode, None, out))]
+                    if second and (rows := _triple_rows(x, y, z, alpha, None, out))]
             for i, a in enumerate(first):
                 for second, rows in live:
                     for j, terms in rows[i]:
@@ -649,17 +646,15 @@ def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
 
     At alpha = +1 every order's product is held to the first order's.  At
     alpha = -1 the nested rules, with the flip, are folded at every order
-    and held to the alpha = -1 product, so one pass checks that alpha = -1
-    is the nested TQFT and that it does not depend on the cup order.  Each
-    weight triple is folded once per (mode, order); pairs are compared in
-    composable order, and within a pair order by order.
+    and held to the convolution's, order None, so one pass checks that
+    alpha = -1 is the nested TQFT and that it does not depend on the cup
+    order.  Each weight triple is folded once per order; pairs are compared
+    in composable order, and within a pair order by order.
     """
-    mode = "plus" if _mode(alpha) == "plus" else "nested"
+    _alpha(alpha)
     weights = enumerate_weights(shape)
-    per_y = {}  # per middle weight, the (mode, order) variants, the reference first
-    for y in weights:
-        orders = [(mode, order) for order in cup_orders(weight_to_m(y))]
-        per_y[y] = orders if mode == "plus" else [("minus", None), *orders]
+    # per middle weight, the orders, the reference first
+    per_y = {y: [None] * (alpha == -1) + list(cup_orders(weight_to_m(y))) for y in weights}
     for x in weights:
         for y in weights:
             first, (_, *alts) = _ends(x, y).elements, per_y[y]
@@ -667,13 +662,13 @@ def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
                 continue
             # per z, each variant's rows of the triple, row i as {j: terms}
             triples = [(z, [[dict(row) for row in
-                             _triple_rows(x, y, z, mode, order, _ends(x, z).elements)
-                             or [()] * len(first)] for mode, order in per_y[y]])
+                             _triple_rows(x, y, z, alpha, order, _ends(x, z).elements)
+                             or [()] * len(first)] for order in per_y[y]])
                        for z in weights if _ends(y, z).elements]
             for i, a in enumerate(first):
                 for z, (want, *gots) in triples:
                     for j, b in enumerate(_ends(y, z).elements):
-                        for (_, order), got in zip(alts, gots):
+                        for order, got in zip(alts, gots):
                             if got[i].get(j) != want[i].get(j):
                                 got, want = (AlgebraElement(x, z, dict(rows[i].get(j, ())))
                                              for rows in (got, want))

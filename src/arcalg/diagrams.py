@@ -68,8 +68,8 @@ class Shape(_Checked, _ShapeFields):
     __slots__ = ()
 
     def __new__(cls, n: int, k: int) -> "Shape":
-        if n < 1 or k < 0 or 2 * k > n:
-            raise ValidationError(f"invalid shape: n={n}, k={k} (need 0 <= 2k <= n)")
+        if type(n) is not int or type(k) is not int or n < 1 or k < 0 or 2 * k > n:
+            raise ValidationError(f"invalid shape: n={n!r}, k={k!r} (need ints 0 <= 2k <= n)")
         return tuple.__new__(cls, (n, k))
 
 

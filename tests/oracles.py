@@ -851,10 +851,11 @@ def movie_product_oracle(ba: BasisElement, bb: BasisElement, mode: str,
 # the package's earlier table builder: every composable pair through the movie
 
 
-def movie_rows_oracle(x: Weight, y: Weight, z: Weight, mode: str, index) -> list | None:
-    """_triple_rows(x, y, z, mode, None, index), the compiled movie folded
-    under rule set ``mode`` at the canonical cup order, given explicitly."""
-    return _triple_rows(x, y, z, mode, canonical_order(weight_to_m(y)), index)
+def movie_rows_oracle(x: Weight, y: Weight, z: Weight, alpha: int, index) -> list | None:
+    """_triple_rows(x, y, z, alpha, None, index) as the compiled movie folds
+    it at the canonical cup order, given explicitly: under the Frobenius
+    rules at alpha = +1 and the nested ones at -1."""
+    return _triple_rows(x, y, z, alpha, canonical_order(weight_to_m(y)), index)
 
 
 def rows_table(shape: Shape, alpha: int, rows) -> StructureTable:
@@ -875,10 +876,10 @@ def rows_table(shape: Shape, alpha: int, rows) -> StructureTable:
     return StructureTable(shape, alpha, weights, els, products)
 
 
-def movie_table_oracle(shape: Shape, alpha: int, mode: str) -> StructureTable:
+def movie_table_oracle(shape: Shape, alpha: int) -> StructureTable:
     """structure_table(shape, alpha), every weight triple's rows read off
-    movie_rows_oracle under rule set ``mode``."""
-    return rows_table(shape, alpha, lambda x, y, z, index: movie_rows_oracle(x, y, z, mode, index))
+    movie_rows_oracle."""
+    return rows_table(shape, alpha, lambda x, y, z, index: movie_rows_oracle(x, y, z, alpha, index))
 
 
 # ---------------------------------------------------------------------------

@@ -209,10 +209,15 @@ def test_bad_order_rejected():
     lambda: check_degree_additivity(Shape(4, 2), 3),
     lambda: check_unit(Shape(4, 2), 0),
     lambda: multiply(one(NESTED, NXT), one(NXT, NESTED), 2),
+    # bool and float pass ``in (1, -1)`` but are no int alpha
+    lambda: structure_table(Shape(2, 1), True),
+    lambda: structure_table(Shape(2, 1), 1.0),
+    lambda: multiply(one(NESTED, NXT), one(NXT, NESTED), -1.0),
     # inner cup (2,3) before the containing (1,4), under the nested rules
     lambda: multiply_nested(one(NXT, NESTED), one(NESTED, NXT), order=[(2, 3), (1, 4)]),
 ], ids=["table-alpha", "assoc-alpha", "orders-alpha", "degree-alpha", "unit-alpha",
-        "multiply-alpha", "nested-order"])
+        "multiply-alpha", "table-alpha-bool", "table-alpha-float", "multiply-alpha-float",
+        "nested-order"])
 def test_bad_alpha_or_mode_rejected(call):
     with pytest.raises(ValidationError):
         call()
@@ -339,27 +344,32 @@ def _negate(terms):
 
 
 def _corrupt_pair_in_rows(monkeypatch, corrupt, when):
-    """``_triple_rows`` gives corrupt(terms) as PAIR's product where when(mode, cup order)."""
+    """``_triple_rows`` gives corrupt(terms) as PAIR's product where when(alpha, cup order)."""
     real = arc_algebra._triple_rows
     a, b = PAIR
     i, j = basis(a.src, a.tgt).index(a), basis(b.src, b.tgt).index(b)
 
-    def fake(x, y, z, mode, cup_order, index, _only=None):
-        rows = real(x, y, z, mode, cup_order, index, _only)
-        if (x, y, z) == (a.src, a.tgt, b.tgt) and when(mode, cup_order):
+    def fake(x, y, z, alpha, cup_order, index, _only=None):
+        rows = real(x, y, z, alpha, cup_order, index, _only)
+        if (x, y, z) == (a.src, a.tgt, b.tgt) and when(alpha, cup_order):
             rows[i] = [(k, corrupt(terms) if k == j else terms) for k, terms in rows[i]]
         return rows
 
     monkeypatch.setattr(arc_algebra, "_triple_rows", fake)
 
 
+def _nested_movie(alpha, order) -> bool:
+    """Whether ``_triple_rows`` folds the nested movie: alpha -1 at an explicit order."""
+    return alpha == -1 and order is not None
+
+
 @pytest.mark.parametrize("check, args, corrupt, when, detail", [
     (check_order_independence, (-1,), _negate,
-     lambda mode, order: mode == "nested", " order=((1, 2), (3, 4)): - x1 + x2 != x1 - x2"),
+     _nested_movie, " order=((1, 2), (3, 4)): - x1 + x2 != x1 - x2"),
     (check_order_independence, (-1,), _negate,
-     lambda mode, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 + x2 != x1 - x2"),
+     lambda alpha, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 + x2 != x1 - x2"),
     (check_order_independence, (1,), _negate,
-     lambda mode, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 - x2 != x1 + x2"),
+     lambda alpha, order: order == ((3, 4), (1, 2)), " order=((3, 4), (1, 2)): - x1 - x2 != x1 + x2"),
 ])
 def test_checks_fail_on_one_corrupted_product(monkeypatch, check, args, corrupt, when, detail):
     a, b = PAIR
@@ -373,7 +383,7 @@ def test_order_check_holds_every_order_to_alpha_minus_1(monkeypatch):
     # a nested product negated at every cup order: the orders still agree
     # with each other, and only the alpha = -1 product tells them wrong
     a, b = (AlgebraElement(t.src, t.tgt, {t: 1}) for t in PAIR)
-    _corrupt_pair_in_rows(monkeypatch, _negate, lambda mode, order: mode == "nested")
+    _corrupt_pair_in_rows(monkeypatch, _negate, _nested_movie)
     products = [multiply_nested(a, b, order) for order in cup_orders(weight_to_m(a.tgt))]
     assert len(products) == 2 and products[0] == products[1] != multiply(a, b, -1)
     assert not check_order_independence(Shape(4, 2), -1).ok
@@ -521,7 +531,7 @@ def test_minus_associator_is_the_coboundary_of_the_twist(shape):
     table = built_table(shape, -1)
     els = table.basis
     s = functools.lru_cache(maxsize=None)(
-        lambda x, y, z: (-1) ** arc_algebra._twist(x, y, z, None))
+        lambda x, y, z: (-1) ** arc_algebra._twist(x, y, z))
     by_src: dict = {}
     for k, c in enumerate(els):
         by_src.setdefault(c.src, []).append(k)
@@ -563,17 +573,19 @@ def test_plus_product_matches_direct_oracle_4_2():
 SHAPES_TO_7 = [Shape(n, k) for n in range(1, 8) for k in range(n // 2 + 1)]
 
 
-@pytest.mark.parametrize("alpha, mode", [(1, "plus"), (-1, "minus")], ids=["plus", "minus"])
+@pytest.mark.parametrize("alpha", [1, -1], ids=["plus", "minus"])
 @pytest.mark.parametrize("shape", SHAPES_TO_7, ids=str)
-def test_table_matches_the_movie_pair_by_pair(shape, alpha, mode):
-    # alpha +-1 read off each triple's components
+def test_table_matches_the_movie_pair_by_pair(shape, alpha):
+    # alpha +-1 read off each triple's components, against the Frobenius
+    # movie at +1 and the nested one at -1
     arc_algebra.clear_caches()
-    assert structure_table(shape, alpha).to_json() == movie_table_oracle(shape, alpha, mode).to_json()
+    assert structure_table(shape, alpha).to_json() == movie_table_oracle(shape, alpha).to_json()
 
 
 @pytest.mark.parametrize("shape", SHAPES_TO_7, ids=str)
 def test_nested_rows_match_the_movie_triple_by_triple(shape):
-    # at the default order the convolution decides which triples are live
+    # the alpha -1 convolution's rows against the nested movie's at the
+    # canonical order, dead triples included
     def products(rows):
         return {(i, j): terms for i, row in enumerate(rows or ()) for j, terms in row}
 
@@ -581,8 +593,8 @@ def test_nested_rows_match_the_movie_triple_by_triple(shape):
     for x, y, z in itertools.product(enumerate_weights(shape), repeat=3):
         if basis(x, y) and basis(y, z):
             index = range(len(basis(x, z)))
-            assert (products(arc_algebra._triple_rows(x, y, z, "nested", None, index))
-                    == products(movie_rows_oracle(x, y, z, "nested", index))), (x, y, z)
+            assert (products(arc_algebra._triple_rows(x, y, z, -1, None, index))
+                    == products(movie_rows_oracle(x, y, z, -1, index))), (x, y, z)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

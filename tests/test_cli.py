@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from arcalg.cli import main
-from arcalg.arc_algebra import StructureTable, structure_table
+from arcalg.arc_algebra import StructureTable, check_associativity, structure_table
 from arcalg.cohomology import (intersection_cohomology, kernel_contains_both, odd_normalization,
                                poincare)
 from arcalg.diagrams import Shape, enumerate_weights
@@ -230,11 +230,15 @@ def test_bench_jobs_runs_the_smallest_jobs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     runs = {(r["job"], r["alpha"]): r for r in report["runs"]}
-    assert len(report["runs"]) == len(runs) == 5 and len(report["summary"]) == 5
+    assert len(report["runs"]) == len(runs) == 7 and len(report["summary"]) == 7
     for alpha in (1, -1):
         table = structure_table(Shape(4, 2), alpha).to_json().encode()
         assert runs["structure_table", alpha]["sha256"] == hashlib.sha256(table).hexdigest()
+        assert runs["check_order_independence", alpha]["ok"]
+        assert runs["check_order_independence", alpha]["sha256"] is None
     assert runs["check_associativity", 1]["ok"] and not runs["check_associativity", -1]["ok"]
+    witness = check_associativity(Shape(4, 2), -1).witness.encode()
+    assert runs["check_associativity", -1]["sha256"] == hashlib.sha256(witness).hexdigest()
     weights = enumerate_weights(Shape(4, 2))
     outputs = "\n".join(repr((poincare(w, v, shifted=True), intersection_cohomology(w, v),
                                kernel_contains_both(w, v), odd_normalization(w, v)))

@@ -51,8 +51,10 @@ def test_weight_rejects_non_strings(marks):
 
 
 def test_shape_validation():
-    with pytest.raises(ValidationError):
-        Shape(3, 2)
+    # a float or bool passes the bounds but breaks enumerate_weights later
+    for n, k in [(3, 2), (0, 0), (4, -1), (4.0, 2), (True, 0), (4, "2")]:
+        with pytest.raises(ValidationError):
+            Shape(n, k)
 
 
 def test_running_example_weights_in_order():

@@ -1,16 +1,18 @@
 """The compiled movie and the twist walk against the reference movie in ``oracles.py``.
 
-Every composable basis pair, every nesting-compatible cup order and all
-three rule sets are compared for n <= 5 and at (6, 2), and so is every
-movie at (6, 3) whose split parity depends on the cup order (movies with
-handles first appear there).  The products are read off ``_triple_rows``
-at explicit orders, which fold the compiled movie once per triple.  The
-walk's twist is compared at every order there too, and at the canonical
-order for every live triple with n <= 7, where the twist and the
-compiled movie at no order (None) must equal those at the canonical
-order.  Hypothesis samples pairs and orders at (6, 3) and (8, 4).  The
-caches are cleared first, so that products, compiled movies, twists and
-bases are computed afresh rather than read from a memo.
+Every composable basis pair, every nesting-compatible cup order and both
+alphas are compared for n <= 5 and at (6, 2), and so is every movie at
+(6, 3) whose split parity depends on the cup order (movies with handles
+first appear there).  The products are read off ``_triple_rows`` at
+explicit orders, which fold the compiled movie once per triple; at
+alpha = -1 they are held to both the reference's "minus" movie (the +1
+movie times the raw signs) and its "nested" one.  The compiled movie's
+twist is compared at every order there too, and the canonical twist walk
+(``_twist``) at every triple there and at every live triple with n <= 7,
+where it must equal the compiled movie's twist at the canonical order.
+Hypothesis samples pairs and orders at (6, 3) and (8, 4).  The caches
+are cleared first, so that products, twists and bases are computed
+afresh rather than read from a memo.
 """
 import itertools
 
@@ -23,19 +25,29 @@ from arcalg.arc_algebra import (_compile_movie, _convolution, _triple_rows, _twi
 from arcalg.diagrams import Shape, enumerate_weights, weight_to_m
 from oracles import _ray_twist, _split_parity, movie_product_oracle
 
-MODES = ("plus", "minus", "nested")
+ALPHAS = (1, -1)
+# the reference movie's rule sets that each alpha's product must equal
+ORACLE_MODES = {1: ("plus",), -1: ("minus", "nested")}
 
 
-def _agrees(x, y, z, mode, order, pairs=None) -> None:
+def _agrees(x, y, z, alpha, order, pairs=None) -> None:
     """The triple's products at ``order``, from one ``_triple_rows`` call, against the
     reference movie: at each pair (i, j) of positions in Hom(x, y) and Hom(y, z) of
     ``pairs``, or at every pair if it is None."""
     first, second = basis(x, y), basis(y, z)
-    rows = _triple_rows(x, y, z, mode, order, basis(x, z)) or [[]] * len(first)
+    rows = _triple_rows(x, y, z, alpha, order, basis(x, z)) or [[]] * len(first)
     for i, j in pairs or itertools.product(range(len(first)), range(len(second))):
         got = dict(dict(rows[i]).get(j, ()))
         ba, bb = first[i], second[j]
-        assert got == movie_product_oracle(ba, bb, mode, order), (str(ba), str(bb), mode, order)
+        for mode in ORACLE_MODES[alpha]:
+            assert got == movie_product_oracle(ba, bb, mode, order), (str(ba), str(bb), mode,
+                                                                       order)
+
+
+def _compiled_twist_is(x, y, z, order, want) -> None:
+    """The compiled movie's twist at ``order`` is ``want`` where the movie survives."""
+    movie = _compile_movie(x, y, z, order)
+    assert movie is None or movie[1] == want, (x, y, z, order)
 
 
 @pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 6) for k in range(n // 2 + 1)]
@@ -48,17 +60,19 @@ def test_every_pair_and_order(shape):
         if not (basis(x, y) and basis(y, z)):
             continue
         rays = _ray_twist(x, y, z)
+        canonical = canonical_order(weight_to_m(y))
+        assert _twist(x, y, z) == (rays + _split_parity(x, y, z, canonical)) % 2
         for order in cup_orders(weight_to_m(y)):
-            assert _twist(x, y, z, order) == (rays + _split_parity(x, y, z, order)) % 2
-            for mode in MODES:
-                _agrees(x, y, z, mode, order)
+            _compiled_twist_is(x, y, z, order, (rays + _split_parity(x, y, z, order)) % 2)
+            for alpha in ALPHAS:
+                _agrees(x, y, z, alpha, order)
                 pairs += len(basis(x, y)) * len(basis(y, z))
     assert pairs > 0
 
 
 def test_every_movie_whose_split_parity_depends_on_the_order_6_3():
-    # Such movies have handles; this is where the minus and nested modes
-    # renormalize by the canonical order's parity.
+    # Such movies have handles; this is where alpha = -1 renormalizes by
+    # the canonical order's parity.
     clear_caches()
     ws = enumerate_weights(Shape(6, 3))
     drifting = 0
@@ -68,14 +82,15 @@ def test_every_movie_whose_split_parity_depends_on_the_order_6_3():
         orders = list(cup_orders(weight_to_m(y)))
         reference = _split_parity(x, y, z, canonical_order(weight_to_m(y)))
         rays = _ray_twist(x, y, z)
+        assert _twist(x, y, z) == (rays + reference) % 2
         for order in orders:
             parity = _split_parity(x, y, z, order)
-            assert _twist(x, y, z, order) == (rays + parity) % 2
+            _compiled_twist_is(x, y, z, order, (rays + parity) % 2)
             if parity == reference:
                 continue
             drifting += 1
-            for mode in MODES:
-                _agrees(x, y, z, mode, order)
+            for alpha in ALPHAS:
+                _agrees(x, y, z, alpha, order)
     assert drifting == 64
 
 
@@ -91,17 +106,17 @@ def test_twist_of_every_live_triple(shape):
         if not (basis(x, y) and basis(y, z)) or _convolution(x, y, z) is None:
             continue
         order = canonical_order(weight_to_m(y))
-        assert _twist(x, y, z, order) == (_ray_twist(x, y, z) + _split_parity(x, y, z, order)) % 2
-        # no cup order is the canonical one
-        assert _twist(x, y, z, None) == _twist(x, y, z, order)
-        assert _compile_movie(x, y, z, None) == _compile_movie(x, y, z, order)
+        assert _twist(x, y, z) == (_ray_twist(x, y, z) + _split_parity(x, y, z, order)) % 2
+        # the walk's twist is the compiled movie's at the canonical order
+        movie = _compile_movie(x, y, z, order)
+        assert movie is not None and movie[1] == _twist(x, y, z)
         live += 1
     assert live > 0
 
 
 @st.composite
 def movies(draw, shape):
-    """A weight triple of the shape, a mode, a valid cup order and one composable
+    """A weight triple of the shape, an alpha, a valid cup order and one composable
     basis pair of the triple, as positions in Hom(x, y) and Hom(y, z)."""
     ws = enumerate_weights(shape)
     x = draw(st.sampled_from(ws))
@@ -109,7 +124,7 @@ def movies(draw, shape):
     z = draw(st.sampled_from([w for w in ws if basis(y, w)]))
     order = draw(st.sampled_from(list(cup_orders(weight_to_m(y)))))
     pair = (draw(st.integers(0, len(basis(x, y)) - 1)), draw(st.integers(0, len(basis(y, z)) - 1)))
-    return x, y, z, draw(st.sampled_from(MODES)), order, [pair]
+    return x, y, z, draw(st.sampled_from(ALPHAS)), order, [pair]
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,15 +4,16 @@ The digests were recorded from the reference movie engine (now in
 ``oracles.py``) before the movie was compiled per weight triple; any
 change to a structure constant, to the basis order or to the JSON layout
 shows up here.  The nested TQFT product (``multiply_nested``) agrees
-with alpha = -1 for n <= 6, so its table, assembled here from the nested
-rows of each weight triple, shares the alpha = -1 digest.
+with alpha = -1 for n <= 6, so its table, assembled here from the
+alpha = -1 movie rows of each weight triple at the canonical cup order,
+shares the alpha = -1 digest.
 """
 import hashlib
 
 import pytest
 
-from arcalg.arc_algebra import _triple_rows, clear_caches, structure_table
-from arcalg.diagrams import Shape
+from arcalg.arc_algebra import _triple_rows, canonical_order, clear_caches, structure_table
+from arcalg.diagrams import Shape, weight_to_m
 from oracles import rows_table
 
 # (n, k): (alpha = +1 digest, alpha = -1 digest)
@@ -51,8 +52,10 @@ DIGESTS = {
 
 
 def _nested_table(shape: Shape, alpha: int):
-    return rows_table(shape, alpha,
-                      lambda x, y, z, index: _triple_rows(x, y, z, "nested", None, index))
+    def rows(x, y, z, index):  # the nested movie, at the canonical cup order
+        return _triple_rows(x, y, z, -1, canonical_order(weight_to_m(y)), index)
+
+    return rows_table(shape, alpha, rows)
 
 
 def _digest(table) -> str:
