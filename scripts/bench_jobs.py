@@ -5,8 +5,10 @@ The jobs are ``structure_table``, ``check_associativity`` and
 ``check_order_independence`` at each shape, for alpha +1 and -1, and
 ``cohomology``, which asks every ordered weight pair of the shape for
 ``poincare(shifted=True)``, ``intersection_cohomology``,
-``kernel_contains_both`` and ``odd_normalization``, in that order
-(alpha does not apply: null).
+``kernel_contains_both`` and ``odd_normalization``, in that order, and
+``k0``, which builds the shape's ``k0_matrix`` and asks it
+``is_lower_unitriangular`` and ``det`` (alpha does not apply to these
+two: null).
 ``--jobs`` picks some of them.  Every run is a fresh interpreter that
 imports ``arcalg`` from ``<tree>/src`` and nothing else, so every memo
 starts empty, as on each ``arcalg`` call.  With two ``--src`` trees
@@ -16,9 +18,9 @@ and which tree goes first alternates between repetitions.
 Per run the file records the commit of the tree, the wall time of the
 call alone (interpreter start and imports excluded), the peak RSS right
 after the imports and right after the call, and the SHA-256 of the
-table's ``to_json()`` (for a check, of its witness, null when it passes,
-and its ``ok`` too; of the outputs' ``repr``s joined by newlines, for
-``cohomology``).  Both
+table's or K0 matrix's ``to_json()`` (for a check, of its witness, null
+when it passes, and its ``ok`` too; of the outputs' ``repr``s joined by
+newlines, for ``cohomology``).  Both
 peaks are the child's own ``VmHWM`` from ``/proc/self/status`` (Linux):
 ``ru_maxrss`` would carry over the high-water mark of the process that
 spawned it.  Medians per (job, shape, alpha, commit) follow the runs.
@@ -37,7 +39,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-JOBS = ("structure_table", "check_associativity", "check_order_independence", "cohomology")
+JOBS = ("structure_table", "check_associativity", "check_order_independence", "cohomology",
+        "k0")
+NO_ALPHA = ("cohomology", "k0")
 
 # One run; argv: source directory, job, n, k, alpha (JSON).  Prints one JSON line.
 CHILD = """
@@ -47,6 +51,7 @@ from arcalg.arc_algebra import check_associativity, check_order_independence, st
 from arcalg.cohomology import (intersection_cohomology, kernel_contains_both,
                                odd_normalization, poincare)
 from arcalg.diagrams import Shape, enumerate_weights
+from arcalg.ktheory import k0_matrix
 def high_water_mb():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
@@ -55,17 +60,23 @@ def cohomology(shape, alpha):
     return [(poincare(w, v, shifted=True), intersection_cohomology(w, v),
              kernel_contains_both(w, v), odd_normalization(w, v))
             for w in weights for v in weights]
+def k0(shape, alpha):
+    mat = k0_matrix(shape)
+    mat.is_lower_unitriangular()
+    mat.det()
+    return mat
 imported = high_water_mb()
 job, shape = sys.argv[2], Shape(int(sys.argv[3]), int(sys.argv[4]))
 alpha = json.loads(sys.argv[5])
 call = {"structure_table": structure_table, "check_associativity": check_associativity,
-        "check_order_independence": check_order_independence, "cohomology": cohomology}[job]
+        "check_order_independence": check_order_independence, "cohomology": cohomology,
+        "k0": k0}[job]
 check = job.startswith("check_")
 start = time.perf_counter()
 result = call(shape, alpha)
 wall = time.perf_counter() - start
 peak = high_water_mb()
-text = (result.to_json() if job == "structure_table" else
+text = (result.to_json() if job in ("structure_table", "k0") else
         result.witness if check else "\\n".join(map(repr, result)))
 print(json.dumps({"wall_s": wall, "import_rss_mb": imported, "peak_rss_mb": peak,
                   "ok": result.ok if check else None,
@@ -144,7 +155,7 @@ def main() -> int:
     runs = []
     for shape in shapes:
         for job in (job for job in JOBS if job in args.jobs):
-            for alpha in (None,) if job == "cohomology" else (1, -1):
+            for alpha in (None,) if job in NO_ALPHA else (1, -1):
                 for rep in range(args.repeat):
                     order = range(len(trees)) if rep % 2 == 0 else reversed(range(len(trees)))
                     for t in order:

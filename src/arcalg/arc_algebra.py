@@ -1,7 +1,8 @@
 """The graded convolution / arc algebra on oriented circle diagrams.
 
 A basis element of Hom(x, y) is an orientation of the glued diagram with
-m(x) below and m(y) on top.  Circles of a glued diagram carry one of two
+m(x) below and m(y) on top: a fixed point in Theta(x) ∩ Theta(y), read
+off with no glue (``diagrams._fixed_points``).  Circles carry one of two
 orientations; the lower-degree one plays the role of 1 and the higher one
 the role of X, with the dictionary "X on a circle = the generator x_i at
 the circle's leftmost point i" tying everything to the ring presentations
@@ -38,11 +39,9 @@ from typing import NamedTuple
 from ._movie import (OrderError, _compile_movie, _fold, _twist, _validate_order,
                      canonical_order, cup_orders)
 from . import cohomology
-from .diagrams import (CIRCLE, CircleDiagram, Shape, UP,
-                       ValidationError, Weight, _Checked, diagram_of,
-                       enumerate_standard, enumerate_weights, orientation_degree,
-                       orientations, render_circle_diagram, weight_of_tableau,
-                       weight_to_m)
+from .diagrams import (CIRCLE, CircleDiagram, Shape, ValidationError, Weight, _Checked,
+                       _fixed_points, _switches, _weight_of, diagram_of, enumerate_standard,
+                       enumerate_weights, render_circle_diagram, weight_of_tableau, weight_to_m)
 
 
 class CompositionError(ValidationError):
@@ -175,19 +174,25 @@ def _mask(columns) -> int:
     return sum(1 << 2 * c for c in columns)
 
 
+_NO_HOM = _Hom((), (), (), (), {}, {}, 0, (), (), 0)  # every zero Hom space
+
+
 @lru_cache(maxsize=8192)
 def _ends(x: Weight, y: Weight) -> _Hom:
-    """Hom(x, y), glued once; its orientations come in basis order."""
+    """Hom(x, y): its basis and degrees are ``_fixed_points``; glued only if nonzero."""
+    if x.n != y.n:
+        raise ValidationError(f"cannot glue diagrams on {y.n} and {x.n} points")
+    if not (points := _fixed_points(x, y)):
+        return _NO_HOM
     z = diagram_of(x, y)
     circles = [comp.leftmost for comp in z.circles()]
-    elements, labels, parities, degrees = [], [], [], []
-    for v in orientations(z, x, y):
-        up = [c for c in circles if v.marks[c - 1] == UP]
-        elements.append(BasisElement(x, y, v))
+    elements, labels, parities = [], [], []
+    for u, _ in points:
+        up = [c for c in circles if u >> c - 1 & 1]
+        elements.append(BasisElement(x, y, _weight_of(u, x.n)))
         labels.append(_mask(up))
         parities.append(sum(up) % 2)
-        degrees.append(orientation_degree(z, v))
-    return _Hom(tuple(elements), tuple(labels), tuple(parities), tuple(degrees),
+    return _Hom(tuple(elements), tuple(labels), tuple(parities), tuple(d for _, d in points),
                 {b: i for i, b in enumerate(elements)}, {l: i for i, l in enumerate(labels)},
                 _mask(circles), tuple(_mask(comp.vertices) for comp in z.components),
                 tuple((_mask(comp.bottom_rays), _mask(comp.top_rays))
@@ -242,6 +247,8 @@ def _convolution(x: Weight, y: Weight, z: Weight) -> tuple | None:
     with k a position in Hom(x, z), and empty if it is 0.
     """
     hxy, hyz, hxz = _ends(x, y), _ends(y, z), _ends(x, z)
+    if not hxz.elements:
+        return None
     # the components of the triple join those of Hom(x, y) and Hom(y, z)
     comps = list(hxy.parts)
     for part in hyz.parts:
@@ -392,9 +399,9 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, alpha: int,
 
 
 def clear_caches() -> None:
-    """Empty every memo: convolutions, twists, Hom spaces and their bases, m(w)
-    and the glued pairs of :mod:`arcalg.cohomology` (``_PAIRS``)."""
-    for memo in (_convolution, _twist, canonical_order, _ends, weight_to_m):
+    """Empty every memo: convolutions, twists, Hom spaces and their bases, m(w),
+    Theta(w) and the glued pairs of :mod:`arcalg.cohomology` (``_PAIRS``)."""
+    for memo in (_convolution, _twist, canonical_order, _ends, weight_to_m, _switches):
         memo.cache_clear()
     cohomology._PAIRS.clear()
 
@@ -521,7 +528,7 @@ class StructureTable(NamedTuple):
         glued = lru_cache(maxsize=1)(diagram_of)
         for idx, b in enumerate(self.basis):
             z = glued(b.src, b.tgt)
-            lines.append(f"\n#{idx}  {b}  degree {orientation_degree(z, b.orient)}")
+            lines.append(f"\n#{idx}  {b}  degree {degree(b)}")
             lines.append(render_circle_diagram(z, b.orient))
         lines.append("\nproducts (i * j = sum of coeff * #k):")
         for (i, j), terms in sorted(self.products.items()):
@@ -566,7 +573,7 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False) -
             if not first:
                 continue
             live = [(second, rows) for z, second, out in zip(weights, from_y, from_x)
-                    if second and (rows := _triple_rows(x, y, z, alpha, None, out))]
+                    if second and out and (rows := _triple_rows(x, y, z, alpha, None, out))]
             for i, a in enumerate(first):
                 for second, rows in live:
                     for j, terms in rows[i]:

@@ -12,9 +12,10 @@ generators it hits, with no elimination.
 EMPTY intersections are reported as None, mirroring a zero Hom space
 rather than a zero ring.
 
-``_glue_pair`` glues a weight pair into one record and keeps the last 32
-in ``_PAIRS``.  ``poincare`` writes it on every call, as perfbench's tracer
-test counts one glue per call; the other pair functions read it, or glue.
+``_glue_pair`` reads a weight pair into one record, kept among the last 32
+in ``_PAIRS``, and glues only pairs with fixed points Theta(w) ∩ Theta(w').
+``poincare`` writes it on every call (perfbench's tracer test counts one
+glue per call to a nonempty pair); the other pair functions read it.
 ``diagrams.equivalence`` is unused here; perfbench still traces it.
 """
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import comb
 from typing import NamedTuple
 
 from .diagrams import (CIRCLE, CircleDiagram, CupDiagram, StandardTableau,
-                       ValidationError, Weight, _Checked, _component_choices, diagram_of,
+                       ValidationError, Weight, _Checked, _fixed_points, diagram_of,
                        tableau_to_cup, weight_to_m)
 
 
@@ -163,9 +164,9 @@ def _cup_presentation(cup: CupDiagram) -> tuple[RingPresentation, PullbackMap]:
 
 
 class _Pair(NamedTuple):
-    """A glued weight pair: its diagram, smallest degree and intersection."""
+    """A weight pair: its glued diagram, smallest degree and intersection, or Nones."""
 
-    z: CircleDiagram
+    z: CircleDiagram | None
     low: int | None
     intersection: tuple[RingPresentation, PullbackMap] | None
 
@@ -174,33 +175,28 @@ _PAIRS: dict[tuple[Weight, Weight], _Pair] = {}
 
 
 def _glue_pair(w: Weight, wp: Weight) -> _Pair:
-    """Glue a pair of one shape, and keep its record among the last 32.
+    """Read a pair of one shape, and keep its record among the last 32.
 
-    The intersection is empty when the rays of some line contradict each
-    other.  An arc counts when its left end is up, fixed for a component
-    by whether its odd points are up; so the smallest degree sums, over
-    components, the fewest arcs counted by an allowed choice.
+    The intersection's fixed points Theta(w) ∩ Theta(w') give its smallest
+    degree, or its emptiness with no glue; its circles are glued.
     """
     if w.n != wp.n or w.k != wp.k:
         raise ValidationError("weights must share a shape")
-    z = diagram_of(w, wp)
-    choices = _component_choices(z, w, wp)
-    low = intersection = None
-    if choices is not None:
-        low = sum(min(sum(1 for _, a, _b in comp.arcs if (a % 2 == 1) == odd_up)
-                      for odd_up in allowed)
-                  for comp, allowed in zip(z.components, choices))
+    pair = _Pair(None, None, None)
+    if points := _fixed_points(w, wp):
+        z = diagram_of(w, wp)
         circles = z.circles()
         images: list[tuple[tuple[int, int], ...]] = [()] * w.n
         for comp in circles:
             for i in comp.vertices:  # epsilon(z, i, leftmost), read off the circle in hand
                 images[i - 1] = ((comp.leftmost, (-1) ** (i + comp.leftmost)),)
-        intersection = (RingPresentation(tuple(c.leftmost for c in circles)),
-                        PullbackMap(w.n, tuple(images)))
+        pair = _Pair(z, min(d for _, d in points),
+                     (RingPresentation(tuple(c.leftmost for c in circles)),
+                      PullbackMap(w.n, tuple(images))))
     _PAIRS.pop((w, wp), None)
     if len(_PAIRS) >= 32:
         del _PAIRS[next(iter(_PAIRS))]
-    _PAIRS[w, wp] = pair = _Pair(z, low, intersection)
+    _PAIRS[w, wp] = pair
     return pair
 
 
@@ -221,8 +217,8 @@ def intrinsic_min_degree(w: Weight, wp: Weight) -> int | None:
 
 def poincare(w: Weight, wp: Weight, shifted: bool = False) -> GradedDim:
     """(1 + q^2) per circle, multiplied by q**(minimal degree) if shifted."""
-    # Glues even when the pair is kept: perfbench's tracer test counts one
-    # glue per call.  The pullback functions asked after it then glue nothing.
+    # A nonempty pair is glued even when kept (perfbench's tracer test counts
+    # one glue per call); the pullback functions asked after it glue nothing.
     pair = _glue_pair(w, wp)
     if pair.intersection is None:
         return GradedDim.zero()

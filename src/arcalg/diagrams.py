@@ -19,8 +19,8 @@ Conventions fixed once and for all:
 * weight marks are ``^`` (up) and ``v`` (down); a shape (n-k, k) weight
   has n-k ups and k downs;
 * the canonical enumeration order sorts weights by their reversed mark
-  string with ``v`` before ``^`` (this reproduces the standard w_1..w_6
-  listing at n=4, k=2);
+  string with ``v`` before ``^``, that is by their up-sets as ints (this
+  reproduces the standard w_1..w_6 listing at n=4, k=2);
 * equivalence classes live on {0, 1, ..., n}, with 0 standing for the
   trivial subspace.
 """
@@ -91,6 +91,8 @@ class Weight(_Checked, _WeightFields):
     @staticmethod
     def parse(text: str) -> "Weight":
         """Parse a weight, accepting unicode wedge/vee aliases."""
+        if not isinstance(text, str):
+            raise ValidationError(f"weight {text!r} is not a string")
         try:
             return Weight("".join(_MARK_ALIASES[c] for c in text.strip()))
         except KeyError as exc:
@@ -140,11 +142,6 @@ class Weight(_Checked, _WeightFields):
 
     def __str__(self) -> str:
         return self.marks
-
-
-def weight_sort_key(w: Weight) -> tuple[int, ...]:
-    # reversed string, down before up: reproduces the w_1..w_6 order at (4,2)
-    return tuple(0 if c == DOWN else 1 for c in reversed(w.marks))
 
 
 class _TableauFields(NamedTuple):
@@ -325,15 +322,10 @@ def cup_to_tableau(c: CupDiagram) -> StandardTableau:
 
 
 def enumerate_weights(shape: Shape) -> list[Weight]:
-    """All C(n, n-k) weights of the shape, in canonical order."""
-    out = []
-    for downs in itertools.combinations(range(shape.n), shape.k):
-        marks = [UP] * shape.n
-        for d in downs:
-            marks[d] = DOWN
-        out.append(Weight("".join(marks)))
-    out.sort(key=weight_sort_key)
-    return out
+    """All C(n, n-k) weights of the shape, in canonical order: by up-set."""
+    n = shape.n
+    ups = sorted(sum(1 << i for i in c) for c in itertools.combinations(range(n), n - shape.k))
+    return [_weight_of(u, n) for u in ups]
 
 
 def enumerate_standard(shape: Shape) -> list[StandardTableau]:
@@ -481,51 +473,28 @@ def diagram_of(src: Weight, tgt: Weight) -> CircleDiagram:
     return glue(weight_to_m(tgt), weight_to_m(src))
 
 
-def _component_choices(z: CircleDiagram, w_bottom: Weight,
-                       w_top: Weight) -> list[tuple[bool, ...]] | None:
-    """Per component of z, the values "its odd points carry an up" may take.
-
-    Every arc joins points of opposite parity, so along a component the
-    mark flips exactly when the point's parity does: an orientation of a
-    component is fixed by whether its odd points carry an up.  A line's
-    rays force that choice, or contradict each other (None); a circle has
-    both.
-    """
-    per_comp: list[tuple[bool, ...]] = []
-    for comp in z.components:
-        if comp.kind == CIRCLE:
-            per_comp.append((False, True))
-            continue
-        odd_up = {(w.mark(r) == UP) == (r % 2 == 1)
-                  for rays, w in ((comp.bottom_rays, w_bottom), (comp.top_rays, w_top))
-                  for r in rays}
-        if len(odd_up) > 1:
-            return None
-        per_comp.append(tuple(odd_up))
-    return per_comp
-
-
 def orientations(z: CircleDiagram, w_bottom: Weight, w_top: Weight) -> list[Weight]:
     """All weights orienting every arc of z and matching the prescribed rays.
 
     Rays of the bottom diagram must carry w_bottom's marks, rays of the
-    top diagram w_top's.  The count is 0 (some line is inconsistent), 1
-    (no circles), or 2**circles.
+    top diagram w_top's.  Every arc joins points of opposite parity, so a
+    component is oriented by an up on all its odd points or on all its
+    even ones: a circle takes both, a line what its rays force, if they
+    agree.  The count is 0, 1 (no circles), or 2**circles.
     """
     if w_bottom.n != z.n or w_top.n != z.n:
         raise ValidationError("weight length does not match diagram")
-    per_comp = _component_choices(z, w_bottom, w_top)
-    if per_comp is None:
-        return []
-    out = []
-    for choice in itertools.product(*per_comp):
-        marks = [UP] * z.n
-        for comp, odd_up in zip(z.components, choice):
-            for v in comp.vertices:
-                marks[v - 1] = UP if (v % 2 == 1) == odd_up else DOWN
-        out.append(Weight("".join(marks)))
-    out.sort(key=weight_sort_key)
-    return out
+    per_comp = []  # the up-sets each component may carry
+    for comp in z.components:
+        odd = sum(1 << v - 1 for v in comp.vertices if v % 2)
+        even = sum(1 << v - 1 for v in comp.vertices if not v % 2)
+        odd_up = {(w.mark(r) == UP) == (r % 2 == 1)
+                  for rays, w in ((comp.bottom_rays, w_bottom), (comp.top_rays, w_top))
+                  for r in rays}
+        if len(odd_up) > 1:
+            return []
+        per_comp.append((even, odd) if comp.kind == CIRCLE else (odd if odd_up.pop() else even,))
+    return [_weight_of(u, z.n) for u in sorted(map(sum, itertools.product(*per_comp)))]
 
 
 def orientation_degree(z: CircleDiagram, v: Weight) -> int:
@@ -543,6 +512,41 @@ def epsilon(z: CircleDiagram, i: int, j: int) -> int:
     if comp_i.kind != CIRCLE or j not in comp_i.vertices:
         return 0
     return (-1) ** (i + j)
+
+
+# ---------------------------------------------------------------------------
+# torus-fixed points as up-sets, bit i-1 set for an up at point i: sorted as
+# ints, the up-sets of one length come in canonical order
+
+_BITS = str.maketrans(UP + DOWN + "10", "10" + UP + DOWN)  # marks to bits and back
+
+
+def _weight_of(ups: int, n: int) -> Weight:
+    return Weight(f"{ups:0{n}b}"[::-1].translate(_BITS))
+
+
+@lru_cache(maxsize=1024)
+def _switches(w: Weight) -> tuple[int, ...]:
+    """Theta(w), the fixed points of K_w, sorted: w with the marks of any
+    subset of m(w)'s cups switched.  A switch moves an up left: w comes last."""
+    out = [int(w.marks[::-1].translate(_BITS), 2)]
+    for a, b in weight_to_m(w).cups:
+        out += [u ^ (1 << a - 1 | 1 << b - 1) for u in out]
+    if len(set(out)) != len(out):
+        raise RuntimeError(f"cup switches of {w} are not distinct")
+    return tuple(sorted(out))
+
+
+def _fixed_points(x: Weight, y: Weight) -> list[tuple[int, int]]:
+    """Theta(x) ∩ Theta(y), x and y of one length, sorted, each with its degree.
+
+    They are the fixed points of K_x ∩ K_y and the basis of Hom(x, y).  An
+    arc's left end is up when its cup is switched, which changes 2 marks.
+    """
+    tx, ty = _switches(x), _switches(y)
+    common = set(ty)
+    return [(u, ((u ^ tx[-1]).bit_count() + (u ^ ty[-1]).bit_count()) // 2)
+            for u in tx if u in common]
 
 
 # ---------------------------------------------------------------------------

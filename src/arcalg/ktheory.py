@@ -3,9 +3,9 @@
 The partial order on weights of one shape is suffix dominance (more
 downs among the last i marks means larger), generated by turning an
 adjacent up-down into down-up.  Switching both endpoint marks of cups of
-m(w) produces the set Theta(w); the transformation matrix expands each
-twisted class in the line-bundle basis over Theta(w) with alternating
-signs.
+m(w) produces Theta(w), the fixed points of K_w (``diagrams._switches``);
+the transformation matrix expands each twisted class in the line-bundle
+basis over Theta(w) with alternating signs.
 
 Theta is taken over the cups of m(w), not of the completed matching
 C(w): completing first would put both w' in Theta(w) and w in Theta(w')
@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import combinations
 from typing import NamedTuple
 
-from .diagrams import (DOWN, Shape, ValidationError, Weight,
-                       enumerate_weights, weight_sort_key, weight_to_m)
+from .diagrams import (DOWN, Shape, ValidationError, Weight, _switches, _weight_of,
+                       enumerate_weights)
 
 
 def weight_leq(w: Weight, v: Weight) -> bool:
@@ -51,23 +50,9 @@ def length(w: Weight) -> int:
     return total
 
 
-def _switch(w: Weight, cups) -> Weight:
-    marks = list(w.marks)
-    for a, b in cups:
-        marks[a - 1], marks[b - 1] = marks[b - 1], marks[a - 1]
-    return Weight("".join(marks))
-
-
 def theta_set(w: Weight) -> tuple[Weight, ...]:
     """Weights obtained by switching the marks on any subset of m(w)'s cups."""
-    cups = weight_to_m(w).cups
-    out = []
-    for r in range(len(cups) + 1):
-        for subset in combinations(cups, r):
-            out.append(_switch(w, subset))
-    if len(set(out)) != 2 ** len(cups):
-        raise RuntimeError(f"cup switches of {w} are not distinct")
-    return tuple(sorted(out, key=weight_sort_key))
+    return tuple(_weight_of(u, w.n) for u in _switches(w))
 
 
 class K0Matrix(NamedTuple):
@@ -85,6 +70,10 @@ class K0Matrix(NamedTuple):
     direction: str
 
     def entry(self, w: Weight, v: Weight) -> int:
+        for u in (w, v):
+            if u not in self.weights:
+                raise ValidationError(f"{u!r} is not a weight of shape "
+                                      f"({self.shape.n},{self.shape.k})")
         return self.entries[self.weights.index(w)][self.weights.index(v)]
 
     def _is_lower_triangular(self) -> bool:
@@ -117,13 +106,13 @@ class K0Matrix(NamedTuple):
 def k0_matrix(shape: Shape) -> K0Matrix:
     """entry(w, w') = (-1)**(length(w) - length(w')) on Theta(w), else 0."""
     weights = enumerate_weights(shape)
-    index = {w: i for i, w in enumerate(weights)}
+    index = {_switches(w)[-1]: i for i, w in enumerate(weights)}  # w's up-set comes last
     lengths = [length(w) for w in weights]
     entries = []
     for w, lw in zip(weights, lengths):
         row = [0] * len(weights)
-        for wp in theta_set(w):
-            j = index[wp]
+        for u in _switches(w):
+            j = index[u]
             row[j] = (-1) ** abs(lw - lengths[j])
         entries.append(tuple(row))
     return K0Matrix(shape, tuple(weights), tuple(entries),

@@ -9,13 +9,15 @@ is compared step for step, the compiled movie's pair-by-pair table,
 against which the tables read off each triple's components are
 compared, exact elimination over Fraction with a
 Bareiss determinant, against which the pullback ranks, kernels and the
-K0 determinant read off their structure are compared, and the ordered
+K0 determinant read off their structure are compared, the ordered
 scan of every composable triple, against which the sparse associativity
-check is compared.  ``is_oriented`` is no oracle: it names the package's
+check is compared, and Theta(w) built one cup subset at a time, against
+which the up-set memo is compared.  ``is_oriented`` is no oracle: it names the package's
 ``orients_with_rays`` with every ray up for the membership tests.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -944,6 +946,26 @@ def leq_oracle(w: Weight, v: Weight) -> bool:
                     seen.add(nxt)
                     frontier.append(nxt)
     return w.marks in seen
+
+
+# ---------------------------------------------------------------------------
+# Theta(w) by switching cup subsets one Weight at a time: the package's
+# earlier construction, the reference for its up-set memo
+
+
+def theta_oracle(w: Weight) -> tuple[Weight, ...]:
+    """w with the marks of each subset of m(w)'s cups swapped, in canonical order."""
+    cups = weight_to_m(w).cups
+    out = []
+    for r in range(len(cups) + 1):
+        for subset in itertools.combinations(cups, r):
+            marks = list(w.marks)
+            for a, b in subset:
+                marks[a - 1], marks[b - 1] = marks[b - 1], marks[a - 1]
+            out.append(Weight("".join(marks)))
+    assert len(set(out)) == 2 ** len(cups), f"cup switches of {w} are not distinct"
+    # canonical order: reversed marks, down before up
+    return tuple(sorted(out, key=lambda v: tuple(c == UP for c in reversed(v.marks))))
 
 
 # ---------------------------------------------------------------------------

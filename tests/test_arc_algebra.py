@@ -100,6 +100,17 @@ def test_degree_reads_the_hom_space_and_glues_nothing(count_glues):
         degree(BasisElement(NXT, NESTED, NESTED))
 
 
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_a_table_glues_only_its_nonzero_hom_spaces(count_glues, alpha):
+    # Of the 225 weight pairs of (6,2), 103 have a nonzero Hom space; of the
+    # 771 triples with Hom(x, y) and Hom(y, z) nonzero, 573 have Hom(x, z) so.
+    arc_algebra.clear_caches()
+    calls = count_glues()
+    structure_table(Shape(6, 2), alpha)
+    assert calls == [103]
+    assert arc_algebra._convolution.cache_info().misses == 573
+
+
 def test_single_circle_degrees():
     degs = sorted(degree(b) for b in basis(NXT, NESTED))
     assert degs == [1, 3]
@@ -605,6 +616,9 @@ def test_end_label_sets_match_the_component_census(n):
         for x, y in itertools.product(weights_of(n, k), repeat=2):
             hom = arc_algebra._ends(x, y)
             els = basis(x, y)
+            if not els:  # a zero Hom space is the one empty record, never glued
+                assert hom == arc_algebra._NO_HOM and not hom.circles and not hom.parts
+                continue
             census = component_census_oracle(x, y)
             lefts = [verts[0] for kind, verts in census if kind == "circle"]
             assert hom.elements == els
@@ -653,7 +667,7 @@ MEMOS = _memos()
 
 def test_the_scan_finds_every_memo():
     assert {m.__wrapped__.__qualname__ for m in MEMOS} == {
-        "_convolution", "_twist", "canonical_order", "_ends", "weight_to_m"}
+        "_convolution", "_twist", "canonical_order", "_ends", "weight_to_m", "_switches"}
 
 
 def test_clear_caches_empties_every_memo():

@@ -12,6 +12,7 @@ from arcalg.arc_algebra import StructureTable, check_associativity, structure_ta
 from arcalg.cohomology import (intersection_cohomology, kernel_contains_both, odd_normalization,
                                poincare)
 from arcalg.diagrams import Shape, enumerate_weights
+from arcalg.ktheory import k0_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,11 +85,12 @@ def test_cohomology_pair(capsys):
     assert "EMPTY" in out
 
 
-@pytest.mark.parametrize("b", ["vv^^", "^^vv"], ids=["nonempty", "empty"])
-def test_cohomology_pair_glues_once(capsys, count_glues, b):
+@pytest.mark.parametrize("b, glues", [("vv^^", 1), ("^^vv", 0)], ids=["nonempty", "empty"])
+def test_cohomology_pair_glues_once(capsys, count_glues, b, glues):
+    # an empty pair has no fixed points and is not glued at all
     calls = count_glues()
     assert run(capsys, "cohomology", "--a", "v^^v", "--b", b)[0] == 0
-    assert calls == [1]
+    assert calls == [glues]
 
 
 def test_validation_error_exit_code(capsys):
@@ -230,7 +232,7 @@ def test_bench_jobs_runs_the_smallest_jobs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     runs = {(r["job"], r["alpha"]): r for r in report["runs"]}
-    assert len(report["runs"]) == len(runs) == 7 and len(report["summary"]) == 7
+    assert len(report["runs"]) == len(runs) == 8 and len(report["summary"]) == 8
     for alpha in (1, -1):
         table = structure_table(Shape(4, 2), alpha).to_json().encode()
         assert runs["structure_table", alpha]["sha256"] == hashlib.sha256(table).hexdigest()
@@ -245,6 +247,9 @@ def test_bench_jobs_runs_the_smallest_jobs(tmp_path):
                          for w in weights for v in weights)
     assert runs["cohomology", None]["ok"] is None
     assert runs["cohomology", None]["sha256"] == hashlib.sha256(outputs.encode()).hexdigest()
+    k0 = k0_matrix(Shape(4, 2)).to_json().encode()
+    assert runs["k0", None]["ok"] is None
+    assert runs["k0", None]["sha256"] == hashlib.sha256(k0).hexdigest()
     assert all(r["wall_s"] > 0 and 0 < r["import_rss_mb"] <= r["peak_rss_mb"]
                for r in report["runs"])
     assert all(0 < s["median_import_rss_mb"] <= s["median_peak_rss_mb"]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,8 @@ def test_weight_parsing_accepts_unicode():
 def test_weight_rejects_non_strings(marks):
     with pytest.raises(ValidationError):
         Weight(marks)
+    with pytest.raises(ValidationError, match=re.escape(f"weight {marks!r} is not a string")):
+        Weight.parse(marks)
 
 
 def test_shape_validation():

@@ -1,13 +1,16 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcalg.arc_algebra import basis, degree
-from arcalg.diagrams import Shape, ValidationError, Weight, enumerate_weights, weight_to_m
+from arcalg import diagrams
+from arcalg.arc_algebra import basis, clear_caches, degree
+from arcalg.diagrams import (Shape, ValidationError, Weight, diagram_of, enumerate_weights,
+                             orientation_degree, orientations, weight_to_m)
 from arcalg.ktheory import K0Matrix, k0_matrix, length, theta_set, weight_leq
-from oracles import det_int, leq_oracle
+from oracles import det_int, leq_oracle, theta_oracle
 
 W = Weight.parse
 
@@ -27,6 +30,15 @@ def test_leq_validation():
         weight_leq(W("v^"), W("v^^"))
     with pytest.raises(ValidationError):
         weight_leq(W("v^"), W("^^"))
+
+
+@pytest.mark.parametrize("w, v, stray", [("v^", "v^v^", "v^"), ("v^v^", "vv^^^^", "vv^^^^"),
+                                         ("v^v^", "^^^^", "^^^^")])
+def test_k0_entry_rejects_weights_outside_the_matrix(w, v, stray):
+    mat = k0_matrix(Shape(4, 2))
+    with pytest.raises(ValidationError, match=re.escape(f"Weight(marks='{stray}') is not "
+                                                        "a weight of shape (4,2)")):
+        mat.entry(W(w), W(v))
 
 
 def test_leq_equals_move_closure():
@@ -160,13 +172,46 @@ def _switched(x, orient):
     return sum(1 for a, _ in weight_to_m(x).cups if orient.mark(a) != x.mark(a))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_hom_spaces_are_theta_intersections_with_switch_degrees(n):
-    # C(q) = D(q) D(q)^T with D(q)[x][lambda] = q^(cups switched) on Theta(x)
+def _hold_hom_spaces(n):
+    """Hold every Hom space on n points to its glued diagram and to Theta.
+
+    The basis of Hom(x, y) is the orientations of the glued diagram, in
+    order, with their orientation degrees; and it is Theta(x) ∩ Theta(y),
+    each element in the degree of the cups it switches:
+    C(q) = D(q) D(q)^T with D(q)[x][lambda] = q^(cups switched) on Theta(x).
+    """
     for k in range(n // 2 + 1):
-        thetas = {w: set(theta_set(w)) for w in weights_of(n, k)}
+        thetas = {w: set(theta_oracle(w)) for w in weights_of(n, k)}
         for (x, tx), (y, ty) in itertools.product(thetas.items(), repeat=2):
-            els = basis(x, y)
+            z, els = diagram_of(x, y), basis(x, y)
+            assert [b.orient for b in els] == orientations(z, x, y), (str(x), str(y))
             assert {b.orient for b in els} == tx & ty, (str(x), str(y))
             for b in els:
-                assert degree(b) == _switched(x, b.orient) + _switched(y, b.orient), str(b)
+                assert degree(b) == orientation_degree(z, b.orient) == (
+                    _switched(x, b.orient) + _switched(y, b.orient)), str(b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hom_spaces_are_theta_intersections_with_switch_degrees(n):
+    _hold_hom_spaces(n)
+
+
+def test_a_corrupted_theta_memo_fails_the_hom_space_check(monkeypatch):
+    # Theta(v^v^) without ^v^v, its smallest up-set
+    x, real = W("v^v^"), diagrams._switches
+    assert theta_oracle(x)[0] == W("^v^v")
+    monkeypatch.setattr(diagrams, "_switches", lambda w: real(w)[1:] if w == x else real(w))
+    clear_caches()
+    try:
+        with pytest.raises(AssertionError):
+            _hold_hom_spaces(4)
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_theta_set_matches_the_cup_switch_oracle(n):
+    for k in range(n // 2 + 1):
+        for w in weights_of(n, k):
+            assert theta_set(w) == theta_oracle(w), str(w)
+    clear_caches()
