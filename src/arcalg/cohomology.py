@@ -15,7 +15,7 @@ rather than a zero ring.
 ``_glue_pair`` reads a weight pair into one record, kept among the last 32
 in ``_PAIRS``, and glues only pairs with fixed points Theta(w) ∩ Theta(w').
 ``poincare`` writes it on every call (perfbench's tracer test counts one
-glue per call to a nonempty pair); the other pair functions read it.
+glue per call to a nonempty pair); the others read it, or write it on a miss.
 ``diagrams.equivalence`` is unused here; perfbench still traces it.
 """
 from __future__ import annotations

@@ -12,8 +12,9 @@ Bareiss determinant, against which the pullback ranks, kernels and the
 K0 determinant read off their structure are compared, the ordered
 scan of every composable triple, against which the sparse associativity
 check is compared, and Theta(w) built one cup subset at a time, against
-which the up-set memo is compared.  ``is_oriented`` is no oracle: it names the package's
-``orients_with_rays`` with every ray up for the membership tests.
+which the up-set memo is compared.  ``is_oriented`` is no oracle: it
+names the package's ``orients_with_rays`` with every ray up for the
+membership tests.
 """
 from __future__ import annotations
 
