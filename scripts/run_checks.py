@@ -3,10 +3,12 @@
 
 Runs every exhaustive check of ``arcalg check`` (``arcalg.cli._CHECKS``)
 at alpha +1, then -1, over a range of shapes, and prints one line per
-(shape, check, alpha).  Each alpha table is built once per shape and
+(shape, check, alpha).  Each (shape, alpha) table is built once and
 shared by the checks that read it, so a check's time includes the build
 of the table if no earlier check of its shape and alpha needed it.  The
-expected alpha -1 associativity failure prints as FAIL (expected).
+memos are emptied after each (shape, alpha), so no more than one table
+is held at a time.  The expected alpha -1 associativity failure prints
+as FAIL (expected).
 Exit code 2 if a check that must pass fails, 1 on a usage error or if
 --max-n is below 2.
 
@@ -16,6 +18,7 @@ Usage:
 import sys
 import time
 
+from arcalg.arc_algebra import clear_caches
 from arcalg.cli import _Parser, _run_checks
 from arcalg.diagrams import Shape
 
@@ -44,6 +47,7 @@ def main() -> int:
                 print(line, flush=True)
                 failed |= verdict == "FAIL"
                 start = time.perf_counter()
+            clear_caches()
     return 2 if failed else 0
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ._movie import (OrderError, _compile_movie, _fold, _twist, _validate_order,
@@ -399,9 +400,10 @@ def _triple_rows(x: Weight, y: Weight, z: Weight, alpha: int,
 
 
 def clear_caches() -> None:
-    """Empty every memo: convolutions, twists, Hom spaces and their bases, m(w),
-    Theta(w) and the glued pairs of :mod:`arcalg.cohomology` (``_PAIRS``)."""
-    for memo in (_convolution, _twist, canonical_order, _ends, weight_to_m, _switches):
+    """Empty every memo: tables, convolutions, twists, Hom spaces and their bases,
+    m(w), Theta(w) and the glued pairs of :mod:`arcalg.cohomology` (``_PAIRS``)."""
+    for memo in (_build_table, _convolution, _twist, canonical_order, _ends, weight_to_m,
+                 _switches):
         memo.cache_clear()
     cohomology._PAIRS.clear()
 
@@ -471,7 +473,7 @@ class StructureTable(NamedTuple):
     alpha: int
     weights: tuple[Weight, ...]
     basis: tuple[BasisElement, ...]
-    products: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    products: MappingProxyType[tuple[int, int], tuple[tuple[int, int], ...]]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -480,8 +482,7 @@ class StructureTable(NamedTuple):
             "weights": [str(w) for w in self.weights],
             "basis": [{"src": str(b.src), "tgt": str(b.tgt), "orient": str(b.orient)}
                       for b in self.basis],
-            "products": {f"{i},{j}": [list(t) for t in terms]
-                         for (i, j), terms in sorted(self.products.items())},
+            "products": {f"{i},{j}": terms for (i, j), terms in sorted(self.products.items())},
         })
 
     @staticmethod
@@ -519,7 +520,7 @@ class StructureTable(NamedTuple):
             if any(basis_[t][:2] != (a.src, b.tgt) for t, _ in terms):
                 raise ValidationError(f"product {i},{j} has a term outside "
                                       f"Hom({a.src}, {b.tgt})")
-        return StructureTable(shape, alpha, weights, basis_, products)
+        return StructureTable(shape, alpha, weights, basis_, MappingProxyType(products))
 
     def text_dump(self) -> str:
         lines = [f"shape ({self.shape.n},{self.shape.k})  alpha={self.alpha:+d}  "
@@ -552,10 +553,14 @@ def algebra_basis(shape: Shape, standard_only: bool = False) -> tuple[tuple[Weig
 def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False) -> StructureTable:
     """All pairwise products of basis elements (zero/uncomposable pairs omitted).
 
-    Weight triples are visited x, then y, then z, and each live triple
-    fills its rows; products still come in composable order.
+    The last two tables are kept and shared, so ``products`` is read-only.
+    Weight triples are visited x, then y, then z, in composable order.
     """
-    _alpha(alpha)
+    return _build_table(shape, _alpha(alpha), standard_only)
+
+
+@lru_cache(maxsize=2)  # one shape's two algebras, alpha +1 and -1
+def _build_table(shape: Shape, alpha: int, standard_only: bool) -> StructureTable:
     weights, els = algebra_basis(shape, standard_only)
     # indices[x][y]: the table indices of Hom(x, y), one int object each,
     # shared by every key and term (x, y positions in ``weights``)
@@ -578,7 +583,7 @@ def structure_table(shape: Shape, alpha: int = 1, standard_only: bool = False) -
                 for second, rows in live:
                     for j, terms in rows[i]:
                         products[a, second[j]] = terms
-    return StructureTable(shape, alpha, weights, els, products)
+    return StructureTable(shape, alpha, weights, els, MappingProxyType(products))
 
 
 class CheckResult(NamedTuple):
@@ -686,11 +691,7 @@ def check_order_independence(shape: Shape, alpha: int = 1) -> CheckResult:
 
 def check_degree_additivity(shape: Shape, alpha: int = 1) -> CheckResult:
     """Nonzero products sit in degree deg(a) + deg(b)."""
-    return _degree_additivity(structure_table(shape, alpha))
-
-
-def _degree_additivity(table: StructureTable) -> CheckResult:
-    """check_degree_additivity on a built table."""
+    table = structure_table(shape, alpha)
     els = table.basis
     degrees = [degree(b) for b in els]
     for (i, j), terms in table.products.items():  # in composable order
@@ -704,11 +705,7 @@ def _degree_additivity(table: StructureTable) -> CheckResult:
 
 def check_unit(shape: Shape, alpha: int = 1) -> CheckResult:
     """Idempotents act as identities: e(src) * b == b == b * e(tgt) for each basis element b."""
-    return _unit(structure_table(shape, alpha))
-
-
-def _unit(table: StructureTable) -> CheckResult:
-    """check_unit on a built table."""
+    table = structure_table(shape, alpha)
     els, products = table.basis, table.products
     index = {b: i for i, b in enumerate(els)}
     units = {x: index[e] for x in table.weights for e in idempotent(x).terms}

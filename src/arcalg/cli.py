@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections.abc import Callable
 from typing import NamedTuple
@@ -172,28 +173,22 @@ def _cmd_table(args) -> int:
 
 
 class _Check(NamedTuple):
-    """One exhaustive check: ``run(shape, alpha, table)`` returns its
-    CheckResult, calling ``table()`` for the alpha structure table.  A
-    FAIL at an alpha in ``fails_at`` is expected, not a failure.
+    """One exhaustive check: ``run(shape, alpha)`` returns its CheckResult.
+    A FAIL at an alpha in ``fails_at`` is expected, not a failure.
     """
 
     name: str
     title: str
-    run: Callable[[Shape, int, Callable[[], arc_algebra.StructureTable]],
-                  arc_algebra.CheckResult]
+    run: Callable[[Shape, int], arc_algebra.CheckResult]
     fails_at: tuple[int, ...] = ()
 
 
 _CHECKS = (
     # alpha = -1 is the product that is not associative
-    _Check("assoc", "associativity",
-           lambda shape, alpha, table: arc_algebra._associativity(table()), (-1,)),
-    _Check("orders", "order-independence",
-           lambda shape, alpha, table: arc_algebra.check_order_independence(shape, alpha)),
-    _Check("degree", "degree additivity",
-           lambda shape, alpha, table: arc_algebra._degree_additivity(table())),
-    _Check("unit", "unit law",
-           lambda shape, alpha, table: arc_algebra._unit(table())),
+    _Check("assoc", "associativity", arc_algebra.check_associativity, (-1,)),
+    _Check("orders", "order-independence", arc_algebra.check_order_independence),
+    _Check("degree", "degree additivity", arc_algebra.check_degree_additivity),
+    _Check("unit", "unit law", arc_algebra.check_unit),
 )
 
 
@@ -201,13 +196,12 @@ def _run_checks(shape: Shape, alpha: int, which: str = "all"):
     """Run the checks of ``_CHECKS`` that ``which`` names, at alpha.
 
     Yields (check, result, verdict) per check, in ``_CHECKS`` order; the
-    verdict is PASS, FAIL or FAIL (expected).  The alpha table is built
-    at most once, by the first check that reads it, and shared.
+    verdict is PASS, FAIL or FAIL (expected).  The checks that read the
+    alpha table share the one ``structure_table`` keeps.
     """
-    table = functools.cache(functools.partial(arc_algebra.structure_table, shape, alpha))
     for check in _CHECKS:
         if which in ("all", check.name):
-            res = check.run(shape, alpha, table)
+            res = check.run(shape, alpha)
             verdict = ("PASS" if res.ok else "FAIL (expected)" if alpha in check.fails_at
                        else "FAIL")
             yield check, res, verdict
@@ -249,6 +243,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=1)  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="arcalg",
@@ -317,10 +312,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _probe_out(path: str) -> None:
+    """ValidationError if ``path`` cannot be written; the file is left as it was."""
     try:
+        if os.path.lexists(path):
+            open(path, "a", encoding="utf-8").close()
+        else:
+            open(path, "x", encoding="utf-8").close()
+            os.remove(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        if args.out is not None:  # before the command, which may run for long
+            _probe_out(args.out)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

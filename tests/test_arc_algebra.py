@@ -667,28 +667,48 @@ MEMOS = _memos()
 
 def test_the_scan_finds_every_memo():
     assert {m.__wrapped__.__qualname__ for m in MEMOS} == {
-        "_convolution", "_twist", "canonical_order", "_ends", "weight_to_m", "_switches"}
+        "_build_table", "_convolution", "_twist", "canonical_order", "_ends", "weight_to_m",
+        "_switches", "_build_parser"}
+
+
+# every memo but the CLI's parser, which holds no result
+RESULT_MEMOS = tuple(m for m in MEMOS if m is not cli._build_parser)
 
 
 def test_clear_caches_empties_every_memo():
+    arc_algebra.clear_caches()
     a = one(NESTED, NXT)
     b = one(NXT, NESTED)
     want = multiply(a, b, -1)
     nested = multiply_nested(a, b)  # the only call here that runs the movie
     table = structure_table(Shape(4, 2), -1)
     pair = intersection_cohomology(NESTED, NXT)
-    assert all(m.cache_info().currsize for m in MEMOS) and cohomology._PAIRS
+    assert all(m.cache_info().currsize for m in RESULT_MEMOS) and cohomology._PAIRS
     arc_algebra.clear_caches()
-    assert [m.cache_info().currsize for m in MEMOS] == [0] * len(MEMOS)
+    assert [m.cache_info().currsize for m in RESULT_MEMOS] == [0] * len(RESULT_MEMOS)
     assert cohomology._PAIRS == {}
     assert multiply(a, b, -1) == want
     assert multiply_nested(a, b) == nested
-    assert structure_table(Shape(4, 2), -1) == table
+    again = structure_table(Shape(4, 2), -1)
+    assert again == table and again is not table
     assert intersection_cohomology(NESTED, NXT) == pair
 
 
 def test_memos_are_bounded():
     assert all(m.cache_info().maxsize is not None for m in MEMOS)
+
+
+def test_each_table_is_built_once(table_builds):
+    shape = Shape(4, 2)
+    for alpha in (1, -1):
+        table = structure_table(shape, alpha)
+        assert structure_table(shape, alpha, False) is table
+        assert structure_table(shape=shape, alpha=alpha, standard_only=False) is table
+        for check in (check_associativity, check_degree_additivity, check_unit):
+            check(shape, alpha)
+    standard = structure_table(shape, 1, standard_only=True)
+    assert structure_table(shape, 1, True) is standard
+    assert table_builds == {(shape, 1, False): 1, (shape, -1, False): 1, (shape, 1, True): 1}
 
 
 def test_plus_and_minus_tables_compile_no_movie(monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from arcalg import arc_algebra, cli
 from arcalg.cli import main
 from arcalg.arc_algebra import StructureTable, check_associativity, structure_table
 from arcalg.cohomology import (intersection_cohomology, kernel_contains_both, odd_normalization,
@@ -167,6 +168,38 @@ def test_unwritable_out_path_is_a_clean_error(capsys, tmp_path):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("argv, module, name", [
+    (["table", "--n", "8", "--k", "4"], arc_algebra, "structure_table"),
+    (["enumerate", "--n", "40", "--k", "20"], cli, "enumerate_weights"),
+], ids=["table", "enumerate"])
+def test_unwritable_out_path_fails_before_the_command_runs(monkeypatch, capsys, tmp_path,
+                                                           argv, module, name):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(module, name, never)
+    target = tmp_path / "missing" / "t.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_out_path_is_left_as_it_was_when_the_command_fails(capsys, tmp_path):
+    kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+    kept.write_text("old\n")
+    for target in (kept, new):
+        code, _, err = run(capsys, "multiply", "--left", "", "--right", "v^,v^", "--out", str(target))
+        assert code == 1 and err.startswith("error: ")
+    assert kept.read_text() == "old\n" and not new.exists()
+
+
+def test_the_shared_parser_keeps_no_flag_between_calls(capsys):
+    _, standard, _ = run(capsys, "enumerate", "--n", "5", "--k", "2", "--standard")
+    _, weights, _ = run(capsys, "enumerate", "--n", "5", "--k", "2")
+    assert len(standard.splitlines()) == 5 and len(weights.splitlines()) == 10
+    assert cli._build_parser.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["cohomology", "--a", ""],
     ["cohomology", "--a", "v^", "--b", ""],
@@ -275,39 +308,22 @@ def test_bench_jobs_refuses_bad_input(argv, tmp_path):
     assert not out.exists()
 
 
-def _count_table_builds(monkeypatch, module):
-    """Replace ``module.structure_table`` with a wrapper counting builds per argument tuple."""
-    builds = {}
-    real = module.structure_table
-
-    def counting(shape, alpha=1, standard_only=False):
-        key = (shape, alpha)
-        builds[key] = builds.get(key, 0) + 1
-        return real(shape, alpha, standard_only)
-
-    monkeypatch.setattr(module, "structure_table", counting)
-    return builds
-
-
 @pytest.mark.parametrize("alpha", [1, -1])
-def test_check_all_builds_each_table_once(monkeypatch, capsys, alpha):
-    from arcalg import arc_algebra
-    builds = _count_table_builds(monkeypatch, arc_algebra)
+def test_check_all_builds_each_table_once(table_builds, capsys, alpha):
     code, out, _ = run(capsys, "check", "--n", "4", "--k", "2", "--alpha", str(alpha))
     assert code == 0
     assert out.count(": PASS") + out.count(": FAIL") == 4
     shape = Shape(4, 2)
-    assert builds == {(shape, alpha): 1}
+    assert table_builds == {(shape, alpha, False): 1}
 
 
-def test_run_checks_builds_each_table_once_per_shape(monkeypatch, capsys):
+def test_run_checks_builds_each_table_once_per_shape(table_builds, monkeypatch, capsys):
     import importlib.util
     spec = importlib.util.spec_from_file_location("run_checks", ROOT / "scripts" / "run_checks.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    from arcalg import arc_algebra
-    builds = _count_table_builds(monkeypatch, arc_algebra)
     monkeypatch.setattr(sys, "argv", ["run_checks.py", "--max-n", "3"])
     assert script.main() == 0
     assert capsys.readouterr().out.count(": PASS") == 2 * 8
-    assert builds == {(Shape(n, k), alpha): 1 for n, k in ((2, 1), (3, 1)) for alpha in (1, -1)}
+    assert table_builds == {(Shape(n, k), alpha, False): 1
+                            for n, k in ((2, 1), (3, 1)) for alpha in (1, -1)}

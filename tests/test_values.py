@@ -100,6 +100,18 @@ def test_check_result_truth_is_ok():
     assert CheckResult(True) and not CheckResult(False, "witness")
 
 
+def test_table_products_are_read_only():
+    # a built table is shared by every caller that asks for it
+    built = structure_table(Shape(4, 2), -1)
+    for table in (built, arc_algebra.StructureTable.from_json(built.to_json())):
+        key = next(iter(table.products))
+        with pytest.raises(TypeError):
+            table.products[key] = ()
+        with pytest.raises(TypeError):
+            del table.products[key]
+        assert table.products[key] == built.products[key]
+
+
 def test_import_needs_neither_dataclasses_nor_inspect():
     # a fresh interpreter: pytest itself imports both
     code = ("import sys\n"
