@@ -28,9 +28,9 @@ of the triple under one of two rule sets:
   circle first for nested ones).  It is the movie's ``alpha=-1``.
 
 Surgeries touching lines follow the graded rules: a saddle joining or
-reconnecting two line segments is the identity when both vanishing arcs
-are counter-clockwise (down mark at their left ends) and kills the
-product otherwise (mismatched marks or clockwise arcs).
+reconnecting two line segments is the identity when the cap and the cup
+it removes are both counter-clockwise (down mark at their left ends) and
+kills the product otherwise (mismatched marks or a clockwise one).
 """
 from __future__ import annotations
 
@@ -68,8 +68,12 @@ def _validate_order(mid: CupDiagram, order) -> tuple[tuple[int, int], ...] | Non
     """``order`` as a tuple of cups, checked against ``mid``; None stays None."""
     if order is None:
         return None
-    order = tuple(tuple(c) for c in order)
-    if sorted(order) != sorted(mid.cups):
+    try:
+        order = tuple(tuple(c) for c in order)
+        listed = sorted(order) == sorted(mid.cups)
+    except TypeError:  # not a sequence of pairs of ints
+        listed = False
+    if not listed:
         raise OrderError(f"order {order} does not list the cups of {mid.cups}")
     for pos, cup in enumerate(order):
         for later in order[pos + 1:]:
@@ -131,8 +135,8 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
     nb = _slots(x, y, z)
     for r in my.rays:  # ray columns are joined before any walk
         nb[2 * r][1], nb[2 * r + 1][1] = 2 * r + 1, 2 * r
-    # the only arcs below layer 0 and above layer 1, which no surgery touches
-    outer_arcs = ([(2 * a, 2 * b) for a, b in mx.cups],
+    # m(x)'s cups below layer 0 and m(z)'s caps above layer 1, which no surgery touches
+    outer_cups = ([(2 * a, 2 * b) for a, b in mx.cups],
                   [(2 * a + 1, 2 * b + 1) for a, b in mz.cups])
     forced = {2 * r: x.mark(r) for r in mx.rays}
     forced.update({2 * r + 1: z.mark(r) for r in mz.rays})
@@ -156,7 +160,7 @@ def _compile_movie(x: Weight, y: Weight, z: Weight,
         an odd number of q's.
         """
         nodes = comps[q][0]
-        return sum(1 for a, b in outer_arcs[p & 1] if a < p < b and nodes >> a & 1) % 2 == 1
+        return sum(1 for a, b in outer_cups[p & 1] if a < p < b and nodes >> a & 1) % 2 == 1
 
     def down_at(cid: int, v: int) -> bool:
         """Whether line ``cid`` is down at node v, read off its bottom-layer, leftmost ray end."""

@@ -83,14 +83,19 @@ class AlgebraElement(_Checked, _ElementFields):
     """Integer combination of basis elements of one Hom space.
 
     ``terms`` drops zero coefficients and keeps the rest in basis order (a
-    term outside it raises ValidationError); a dict, so elements do not hash.
+    term outside it, or a coefficient that is no int, raises
+    ValidationError); a dict, so elements do not hash.
     """
 
     __slots__ = ()
 
     def __new__(cls, src: Weight, tgt: Weight,
                 terms: dict[BasisElement, int] | None = None) -> "AlgebraElement":
-        at = {_position(src, tgt, b): c for b, c in (terms or {}).items() if c != 0}
+        terms = terms or {}
+        for c in terms.values():
+            if type(c) is not int:  # bool and float are no exact coefficients
+                raise ValidationError(f"coefficient {c!r} is not an int")
+        at = {_position(src, tgt, b): c for b, c in terms.items() if c != 0}
         elements = _ends(src, tgt).elements
         return tuple.__new__(cls, (src, tgt, {elements[i]: at[i] for i in sorted(at)}))
 
@@ -496,8 +501,10 @@ class StructureTable(NamedTuple):
                                         Weight.parse(d["orient"])) for d in data["basis"])
             products = {}
             for key, terms in data["products"].items():
-                i, j = key.split(",")
-                products[int(i), int(j)] = tuple((t, c) for t, c in terms)
+                i, j = map(int, key.split(","))
+                if key != f"{i},{j}":
+                    raise ValidationError(f"product key {key!r} is not written i,j")
+                products[i, j] = tuple((t, c) for t, c in terms)
         except ValidationError:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -511,6 +518,10 @@ class StructureTable(NamedTuple):
         for (i, j), terms in products.items():
             if any(type(v) is not int for term in terms for v in term):
                 raise ValidationError(f"product {i},{j}: terms must be [index, coeff] int pairs")
+            if 0 in (c for _, c in terms):
+                raise ValidationError(f"product {i},{j} has a zero coefficient")
+            if len({t for t, _ in terms}) != len(terms):
+                raise ValidationError(f"product {i},{j} repeats a term")
             if not all(0 <= k < len(basis_) for k in (i, j, *(t for t, _ in terms))):
                 raise ValidationError(f"product {i},{j} names no element of a basis "
                                       f"of size {len(basis_)}")

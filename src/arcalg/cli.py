@@ -90,12 +90,9 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_fixedpoints(args) -> int:
-    shape = _shape(args)
     a, b = Weight.parse(args.a), Weight.parse(args.b)
-    for flag, w in (("--a", a), ("--b", b)):
-        if (w.n, w.k) != (shape.n, shape.k):
-            raise ValidationError(f"weight {flag} {w} has shape ({w.n},{w.k}), "
-                                  f"not --n {shape.n} --k {shape.k}")
+    if a.shape() != b.shape():
+        raise ValidationError("weights must share a shape")
     z = diagram_of(a, b)
     vs = orientations(z, a, b)
     if args.format == "json":
@@ -274,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_glue)
 
     p = sub.add_parser("fixedpoints", help="orientations of a glued pair")
-    add_common(p, shape=True)
+    add_common(p)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(func=_cmd_fixedpoints)

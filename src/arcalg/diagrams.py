@@ -361,15 +361,12 @@ LINE = "line"
 
 
 class Component(NamedTuple):
-    """One circle or line of a glued diagram.
-
-    Arcs are (kind, i, j) with kind ``cap`` (upper diagram) or ``cup``
-    (lower diagram); ray ends are recorded separately.
-    """
+    """One circle or line of a glued diagram: its points, and those of them
+    that end a ray of the upper (``top_rays``) or lower (``bottom_rays``)
+    diagram."""
 
     kind: str
     vertices: tuple[int, ...]
-    arcs: tuple[tuple[str, int, int], ...]
     top_rays: tuple[int, ...]
     bottom_rays: tuple[int, ...]
 
@@ -394,12 +391,6 @@ class CircleDiagram(NamedTuple):
 
     def circles(self) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.kind == CIRCLE)
-
-    def component_of(self, i: int) -> Component:
-        for c in self.components:
-            if i in c.vertices:
-                return c
-        raise ValidationError(f"point {i} outside 1..n")
 
     def circle_count(self) -> int:
         return sum(1 for c in self.components if c.kind == CIRCLE)
@@ -432,7 +423,7 @@ def glue(top: CupDiagram, bottom: CupDiagram) -> CircleDiagram:
     slot 1, -1 for a ray, and ``_walk`` finds the component of each point
     not yet seen, left to right, so components come in leftmost-vertex
     order.  One pass over a component's points, in order, reads its
-    vertices, caps, cups and top and bottom rays off the slots.
+    vertices and its top and bottom rays off the slots.
     """
     if top.n != bottom.n:
         raise ValidationError(f"cannot glue diagrams on {top.n} and {bottom.n} points")
@@ -448,22 +439,18 @@ def glue(top: CupDiagram, bottom: CupDiagram) -> CircleDiagram:
             continue
         nodes, cycle = _walk(nb, start)
         seen |= nodes
-        verts, caps, cups, top_rays, bottom_rays = [], [], [], [], []
+        verts, top_rays, bottom_rays = [], [], []
         while nodes:  # lowest set bit first
             low = nodes & -nodes
             nodes ^= low
             v = low.bit_length() - 1
             verts.append(v)
             below, above = nb[v]
-            if above > v:
-                caps.append(("cap", v, above))
-            elif above < 0:
+            if above < 0:
                 top_rays.append(v)
-            if below > v:
-                cups.append(("cup", v, below))
-            elif below < 0:
+            if below < 0:
                 bottom_rays.append(v)
-        comps.append(Component(CIRCLE if cycle else LINE, tuple(verts), tuple(caps + cups),
+        comps.append(Component(CIRCLE if cycle else LINE, tuple(verts),
                                tuple(top_rays), tuple(bottom_rays)))
     return CircleDiagram(top, bottom, tuple(comps))
 
@@ -498,7 +485,7 @@ def orientations(z: CircleDiagram, w_bottom: Weight, w_top: Weight) -> list[Weig
 
 
 def orientation_degree(z: CircleDiagram, v: Weight) -> int:
-    """Number of arcs (cups and caps) whose left endpoint carries an up."""
+    """Number of cups and caps whose left endpoint carries an up."""
     return sum(1 for a, _ in z.top.cups + z.bottom.cups if v.mark(a) == UP)
 
 
@@ -508,10 +495,10 @@ def epsilon(z: CircleDiagram, i: int, j: int) -> int:
     Every arc joins points of opposite parity, so every path from i to j
     has the parity of i + j.
     """
-    comp_i = z.component_of(i)
-    if comp_i.kind != CIRCLE or j not in comp_i.vertices:
-        return 0
-    return (-1) ** (i + j)
+    for comp in z.components:
+        if i in comp.vertices:
+            return (-1) ** (i + j) if comp.kind == CIRCLE and j in comp.vertices else 0
+    raise ValidationError(f"point {i} outside 1..n")
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +633,7 @@ def _arc_rows(c: CupDiagram, left: str, right: str, min_rows: int = 0) -> list[s
 
 
 def render_cup(c: CupDiagram, marks: Weight | None = None) -> str:
-    """ASCII picture: a dot row, cups as bracket arcs beneath, rays as bars."""
+    """ASCII picture: a dot row, cups as brackets beneath, rays as bars."""
     if marks is not None and marks.n != c.n:
         raise ValidationError(f"marks {marks} do not fit a diagram on {c.n} points")
     head = " ".join("." if marks is None else marks.mark(i) for i in range(1, c.n + 1))

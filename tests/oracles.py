@@ -28,8 +28,8 @@ from arcalg.arc_algebra import (AlgebraElement, BasisElement, CheckResult,
                                 StructureTable, _triple_rows, algebra_basis,
                                 basis, canonical_order, diagram_of)
 from arcalg.diagrams import Shape
-from arcalg.diagrams import (CIRCLE, DOWN, LINE, UP, Component, CupDiagram,
-                             Weight, orients_with_rays, weight_to_m)
+from arcalg.diagrams import (CIRCLE, DOWN, LINE, UP, CircleDiagram, Component,
+                             CupDiagram, Weight, orients_with_rays, weight_to_m)
 
 # ---------------------------------------------------------------------------
 # bit-parallel exhaustive orientation filter: bitmaps over all 2**n mark
@@ -148,8 +148,8 @@ def nesting_depth_oracle(z) -> list[int]:
         for j, d in enumerate(comps):
             if j == i or d.kind != CIRCLE:
                 continue
-            caps_over = sum(1 for (kind, a, b) in d.arcs
-                            if kind == "cap" and a < c.leftmost < b)
+            caps_over = sum(1 for a, b in z.top.cups
+                            if a in d.vertices and a < c.leftmost < b)
             if caps_over % 2 == 1:  # leftmost vertex of c lies inside d
                 span = d.vertices[-1] - d.vertices[0]
                 if parent_span is None or span < parent_span:
@@ -399,42 +399,51 @@ def direct_product_oracle(x: Weight, y: Weight, z: Weight,
 # rebuilds every component from scratch after each surgery and tracks labels
 # as sets of node sets, so it is slow but easy to read.
 
-def _circle_marks(comp: Component, high: bool) -> dict[int, str]:
-    """Marks of the low or high orientation of a circle component."""
+def _arcs(z: CircleDiagram, comp: Component) -> list[tuple[int, int]]:
+    """The caps, then the cups, of a component of z, read off z's two diagrams."""
+    return [(a, b) for a, b in z.top.cups + z.bottom.cups if a in comp.vertices]
+
+
+def _circle_marks(z: CircleDiagram, comp: Component, high: bool) -> dict[int, str]:
+    """Marks of the low or high orientation of a circle component of z."""
+    arcs = _arcs(z, comp)
     for seed in (DOWN, UP):
         marks = {comp.leftmost: seed}
         frontier = [comp.leftmost]
         while frontier:
             v = frontier.pop()
-            for _, a, b in comp.arcs:
+            for a, b in arcs:
                 if v in (a, b):
                     other = a if v == b else b
                     want = UP if marks[v] == DOWN else DOWN
                     if other not in marks:
                         marks[other] = want
                         frontier.append(other)
-        ups_left = sum(1 for (_, a, _b) in comp.arcs if marks[a] == UP)
-        half = len(comp.arcs) // 2
+        ups_left = sum(1 for a, _ in arcs if marks[a] == UP)
+        half = len(arcs) // 2
         if (ups_left == half + 1) == high:
             return marks
     raise RuntimeError(f"circle {comp.vertices} has no {'high' if high else 'low'} orientation")
 
 
-def _is_high(comp: Component, v: Weight) -> bool:
-    ups_left = sum(1 for (_, a, _b) in comp.arcs if v.mark(a) == UP)
-    return ups_left == len(comp.arcs) // 2 + 1
+def _is_high(z: CircleDiagram, comp: Component, v: Weight) -> bool:
+    arcs = _arcs(z, comp)
+    ups_left = sum(1 for a, _ in arcs if v.mark(a) == UP)
+    return ups_left == len(arcs) // 2 + 1
 
 
-def _line_marks(comp: Component, w_bottom: Weight, w_top: Weight) -> dict[int, str]:
-    """The forced orientation of a line component of a glued diagram."""
+def _line_marks(z: CircleDiagram, comp: Component, w_bottom: Weight,
+                w_top: Weight) -> dict[int, str]:
+    """The forced orientation of a line component of z."""
     forced = {r: w_bottom.mark(r) for r in comp.bottom_rays}
     forced.update({r: w_top.mark(r) for r in comp.top_rays})
     start, mark = next(iter(forced.items()))
     marks = {start: mark}
     frontier = [start]
+    arcs = _arcs(z, comp)
     while frontier:
         v = frontier.pop()
-        for _, a, b in comp.arcs:
+        for a, b in arcs:
             if v in (a, b):
                 other = a if v == b else b
                 want = UP if marks[v] == DOWN else DOWN
@@ -648,8 +657,9 @@ def _run_movie(ba: BasisElement, bb: BasisElement, mode: str,
     start: set[frozenset] = set()
     coeff = 1
     for b_elt, level in ((ba, "l"), (bb, "u")):
-        for comp in b_elt.diagram().components:
-            if comp.kind == CIRCLE and _is_high(comp, b_elt.orient):
+        z = b_elt.diagram()
+        for comp in z.components:
+            if comp.kind == CIRCLE and _is_high(z, comp, b_elt.orient):
                 key = frozenset((level, v) for v in comp.vertices)
                 assert key in comps
                 start.add(key)
@@ -838,10 +848,10 @@ def movie_product_oracle(ba: BasisElement, bb: BasisElement, mode: str,
         for comp in zout.components:
             cols = frozenset(comp.vertices)
             if comp.kind == LINE:
-                marks.update(_line_marks(comp, x, z))
+                marks.update(_line_marks(zout, comp, x, z))
             else:
                 high = cols in labelled_cols
-                marks.update(_circle_marks(comp, high))
+                marks.update(_circle_marks(zout, comp, high))
                 if high and mode == "minus":
                     coeff *= (-1) ** comp.leftmost  # z -> leftmost-x dictionary
         v = Weight("".join(marks[i] for i in range(1, x.n + 1)))

@@ -60,8 +60,8 @@ def test_x_form_names_the_high_circles():
             ws = weights_of(n, k)
             for x, y in itertools.product(ws, repeat=2):
                 for b in basis(x, y):
-                    high = [f"x{c.leftmost}" for c in b.diagram().circles()
-                            if _is_high(c, b.orient)]
+                    z = b.diagram()
+                    high = [f"x{c.leftmost}" for c in z.circles() if _is_high(z, c, b.orient)]
                     assert AlgebraElement(x, y, {b: 1}).x_form() == ("*".join(high) or "1")
     arc_algebra.clear_caches()
 
@@ -171,6 +171,14 @@ def test_terms_outside_the_basis_are_rejected():
         AlgebraElement(W("v^"), NXT)
 
 
+@pytest.mark.parametrize("coeff", [0.5, 1.0, 0.0, True, "1"], ids=repr)
+def test_coefficients_must_be_ints(coeff):
+    # a float once passed and then broke str(); a bool is no exact coefficient
+    b = basis(NXT, NESTED)[0]
+    with pytest.raises(ValidationError, match=f"coefficient {coeff!r} is not an int"):
+        AlgebraElement(NXT, NESTED, {b: coeff})
+
+
 def test_terms_come_out_in_basis_order():
     els = basis(NXT, NESTED)
     terms = {b: c for b, c in zip(reversed(els), (2, -1))}
@@ -204,8 +212,9 @@ def test_one_term_factors_fold_once(monkeypatch, product):
 def test_bad_order_rejected():
     a = one(NESTED, NXT)
     b = one(NXT, NESTED)
-    with pytest.raises(OrderError):
-        multiply(a, b, 1, order=[(1, 2)])
+    for order in ([(1, 2)], [1, 2], 5, [(1, "2"), (1, 2)]):
+        with pytest.raises(OrderError, match="does not list the cups"):
+            multiply(a, b, 1, order=order)
     a2 = one(NXT, NESTED)
     b2 = one(NESTED, NXT)
     with pytest.raises(OrderError):
@@ -831,8 +840,13 @@ def _tampered(field, key, value):
      "malformed"),
     (lambda data: json.dumps(data)[:-1], "malformed"),
     (lambda data: json.dumps({**data, "shape": [6, 3]}), r"not those of shape \(6,3\)"),
+    (_tampered("products", "0,0", [[0, 1], [0, 2]]), "product 0,0 repeats a term"),
+    (_tampered("products", "0,0", [[0, 0]]), "product 0,0 has a zero coefficient"),
+    # " 0,0" would parse to (0, 0) and silently replace "0,0", or be replaced by it
+    (_tampered("products", " 0,0", [[0, 2]]), "product key ' 0,0' is not written i,j"),
 ], ids=["basis", "index", "alpha", "alpha-float", "no-coeff", "coeff-str",
-        "not-composable", "outside-hom", "key", "missing-field", "bad-json", "shape"])
+        "not-composable", "outside-hom", "key", "missing-field", "bad-json", "shape",
+        "repeated-term", "zero-coeff", "key-spaced"])
 def test_table_json_rejects_a_tampered_table(edit, message):
     data = json.loads(structure_table(Shape(2, 1)).to_json())
     with pytest.raises(ValidationError, match=message):

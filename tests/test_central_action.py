@@ -51,7 +51,7 @@ def _failures(shape, alpha, signed, pullback=intersection_cohomology) -> tuple[i
     return bad, total
 
 
-@pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 7) for k in range(n // 2 + 1)],
+@pytest.mark.parametrize("shape", [Shape(n, k) for n in range(1, 8) for k in range(n // 2 + 1)],
                          ids=str)
 def test_pullbacks_act_centrally(shape):
     for alpha in (1, -1):

@@ -37,20 +37,24 @@ def test_enumerate_standard(capsys):
 
 
 def test_fixedpoints_count(capsys):
-    code, out, _ = run(capsys, "fixedpoints", "--n", "4", "--k", "2",
-                       "--a", "v^v^", "--b", "vv^^")
+    code, out, _ = run(capsys, "fixedpoints", "--a", "v^v^", "--b", "vv^^")
     assert code == 0
-    assert out.splitlines()[0] == "count 2"
+    assert out == "count 2\n^v^v\nv^v^\n"
+    code, out, _ = run(capsys, "fixedpoints", "--a", "v^v^", "--b", "vv^^", "--format", "json")
+    assert json.loads(out) == {"count": 2, "orientations": ["^v^v", "v^v^"]}
 
 
-def test_fixedpoints_rejects_weights_of_another_shape(capsys):
-    code, out, err = run(capsys, "fixedpoints", "--n", "9", "--k", "1",
-                         "--a", "v^v^", "--b", "vv^^")
-    assert code == 1 and out == ""
-    assert "weight --a v^v^ has shape (4,2), not --n 9 --k 1" in err
-    code, _, err = run(capsys, "fixedpoints", "--n", "4", "--k", "1",
-                       "--a", "^^^v", "--b", "vv^^")
-    assert code == 1 and "weight --b vv^^" in err
+@pytest.mark.parametrize("a, b", [("^^^v", "vv^^"), ("v^v^", "v^v^^")], ids=["k", "n"])
+def test_fixedpoints_rejects_weights_of_different_shapes(capsys, a, b):
+    code, out, err = run(capsys, "fixedpoints", "--a", a, "--b", b)
+    assert (code, out, err) == (1, "", "error: weights must share a shape\n")
+
+
+def test_fixedpoints_takes_its_shape_from_the_weights(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fixedpoints", "--n", "4", "--k", "2", "--a", "v^v^", "--b", "vv^^"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --n 4 --k 2" in capsys.readouterr().err
 
 
 def test_multiply_paper_example(capsys):
@@ -95,8 +99,7 @@ def test_cohomology_pair_glues_once(capsys, count_glues, b, glues):
 
 
 def test_validation_error_exit_code(capsys):
-    code, _, err = run(capsys, "fixedpoints", "--n", "4", "--k", "2",
-                       "--a", "vxv^", "--b", "vv^^")
+    code, _, err = run(capsys, "fixedpoints", "--a", "vxv^", "--b", "vv^^")
     assert code == 1 and "error" in err
     code, _, err = run(capsys, "multiply", "--left", "v^,^v", "--right", "v^,^v")
     assert code == 1  # shape mismatch in composition

@@ -276,11 +276,8 @@ def test_glue_against_union_find_oracle():
         for a, b in itertools.product(ws, repeat=2):
             bottom, top = weight_to_m(a), weight_to_m(b)
             z = glue(top, bottom)
-            got = [(c.kind, c.vertices, c.arcs, c.top_rays, c.bottom_rays)
-                   for c in z.components]
+            got = [(c.kind, c.vertices, c.top_rays, c.bottom_rays) for c in z.components]
             want = [(kind, verts,
-                     tuple(("cap", i, j) for i, j in top.cups if i in verts)
-                     + tuple(("cup", i, j) for i, j in bottom.cups if i in verts),
                      tuple(r for r in top.rays if r in verts),
                      tuple(r for r in bottom.rays if r in verts))
                     for kind, verts in component_census_oracle(a, b)]
@@ -304,6 +301,9 @@ def test_epsilon_basics():
     assert epsilon(z, 1, 2) == -1
     assert epsilon(z, 1, 4) == -1  # both boundary paths have odd length
     assert epsilon(z, 1, 3) == 1
+    for i in (0, 5):
+        with pytest.raises(ValidationError, match=f"point {i} outside 1..n"):
+            epsilon(z, i, 1)
 
 
 def test_epsilon_path_independence():
@@ -313,7 +313,8 @@ def test_epsilon_path_independence():
         for a, b in itertools.product(ws[:6], ws[:6]):
             z = glue(weight_to_m(b), weight_to_m(a))
             for comp in z.circles():
-                arcs = len(comp.arcs)
+                arcs = sum(1 for a, b in z.top.cups + z.bottom.cups
+                           if a in comp.vertices and b in comp.vertices)
                 for i, j in itertools.combinations(comp.vertices, 2):
                     # distance one way plus the other way equals the cycle length
                     e = epsilon(z, i, j)
