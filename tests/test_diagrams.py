@@ -271,7 +271,7 @@ def test_glue_census_examples():
 
 
 def test_glue_against_union_find_oracle():
-    for shape in all_shapes(7):
+    for shape in [Shape(1, 0), *all_shapes(7)]:
         ws = weights_of(shape.n, shape.k)
         for a, b in itertools.product(ws, repeat=2):
             bottom, top = weight_to_m(a), weight_to_m(b)
